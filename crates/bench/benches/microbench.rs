@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks for the core data structures.
 //!
-//! One group per experiment family (see DESIGN.md §3); kept small so
+//! One group per experiment family; kept small so
 //! `cargo bench --workspace` completes quickly — the table binaries in
 //! `src/bin/` are the heavyweight harnesses.
 

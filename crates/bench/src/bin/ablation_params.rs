@@ -1,6 +1,6 @@
 //! **Ablation harness** — the framework's tunables.
 //!
-//! DESIGN.md calls out three design choices worth ablating:
+//! Three design choices are worth ablating:
 //! * **τ** (purge threshold): trades deleted-data space overhead
 //!   (O(n/τ)) against update cost (O(u(n)·τ) deletion amortization and
 //!   ×O(τ) T2 query overhead);

@@ -1,50 +1,37 @@
 //! **Figure 4 harness** (beyond the paper) — shard-count scaling of the
-//! `dyndex-store` layer, pooled vs spawn-per-query fan-out.
+//! `dyndex-store` layer.
 //!
 //! The transformations bound *per-operation* cost; the store layer is
-//! about *throughput*: hash-routed shards take writes in parallel, queries
-//! fan out across shards, and resident workers keep rebuild installs off
-//! the query path. This harness measures, at a fixed corpus, a growing
-//! shard count, and both [`FanOutPolicy`] execution models:
+//! about *throughput*: hash-routed shards take writes in parallel, reads
+//! visit every shard's published view on the calling thread, and resident
+//! workers keep rebuild installs off the foreground path. This harness
+//! measures, at a fixed corpus and a growing shard count:
 //!
 //! * bulk-load throughput (batched inserts, one writer thread per shard),
-//! * single-query fan-out latency (count and find),
+//! * single-query latency (count and find),
 //! * multi-threaded query throughput (4 reader threads),
 //! * mixed churn throughput (batch deletes + inserts with background
-//!   maintenance running; fan-out-policy-independent, reported once per
-//!   shard count on the pooled row),
+//!   maintenance running),
 //! * readers-under-sustained-writes: reader throughput measured twice —
 //!   idle writers vs a thread streaming batched inserts — proving the
 //!   epoch-published view read path keeps readers off the shard locks
 //!   (the retained fraction is the table's last column).
 //!
 //! Expected shape: bulk-load and churn scale up with shards (smaller
-//! per-shard rebuilds, parallel writers). Under `ScopedSpawn`, single-query
-//! latency *rises* with shards: a thread spawn costs more than a µs-scale
-//! per-shard query, so the spawn tax dominates. `Pooled` replaces the
-//! spawn with a channel send to the shard's resident worker, cutting most
-//! of the per-query fan-out overhead — the headline ratio this harness
-//! prints last.
+//! per-shard rebuilds, parallel writers). Single-query latency rises
+//! with shards — one more view visited, in sequence, per shard.
 
 use dyndex_bench::workloads::*;
 use dyndex_core::prelude::*;
-use dyndex_store::{FanOutPolicy, MaintenancePolicy, ShardedStore, StoreOptions};
+use dyndex_store::{MaintenancePolicy, ShardedStore, StoreOptions};
 use dyndex_text::FmIndexCompressed;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 const READER_THREADS: usize = 4;
 
-struct Row {
-    shards: usize,
-    policy: FanOutPolicy,
-    count_ns: f64,
-    find_ns: f64,
-    queries_per_s: f64,
-}
-
 fn main() {
-    println!("=== Fig 4: sharded-store scaling, pooled vs spawn fan-out (measured) ===\n");
+    println!("=== Fig 4: sharded-store scaling (measured) ===\n");
     let n = 1usize << 19;
     let mut r = rng(0xF16_0004 ^ n as u64);
     let text = markov_text(&mut r, n, 26, 3);
@@ -60,26 +47,16 @@ fn main() {
         churn.len()
     );
     println!(
-        "{:<8} {:<8} {:>14} {:>12} {:>12} {:>14} {:>14}",
-        "shards", "fan-out", "bulk-load", "count", "find", "queries/s", "churn MB/s"
+        "{:<8} {:>14} {:>12} {:>12} {:>14} {:>14}",
+        "shards", "bulk-load", "count", "find", "queries/s", "churn MB/s"
     );
-    let mut rows: Vec<Row> = Vec::new();
-    // A 1-shard store has no fan-out: both policies take the identical
-    // direct-read path, so measure it once as the baseline row.
-    rows.push(run_config(
-        1,
-        FanOutPolicy::Pooled,
-        &docs,
-        &patterns,
-        &churn,
-    ));
-    for &shards in &[2usize, 4, 8] {
-        for policy in [FanOutPolicy::Pooled, FanOutPolicy::ScopedSpawn] {
-            rows.push(run_config(shards, policy, &docs, &patterns, &churn));
-        }
+    for &shards in &[1usize, 2, 4, 8] {
+        run_config(shards, &docs, &patterns, &churn);
     }
     println!();
-    summarize(&rows);
+    println!("shape checks: bulk-load and churn MB/s rise with shards (parallel");
+    println!("writers, smaller rebuilds); count/find latency grows by one view");
+    println!("visit per shard, with no thread hand-off anywhere on the read path.");
     println!();
     readers_under_writes(&docs, &patterns, &churn);
 }
@@ -92,7 +69,7 @@ fn main() {
 /// the sustained-writes column must retain most of the idle throughput
 /// instead of collapsing to writer-release pacing.
 fn readers_under_writes(docs: &[(u64, Vec<u8>)], patterns: &[Vec<u8>], churn: &[(u64, Vec<u8>)]) {
-    println!("readers under sustained writes (pooled fan-out, {READER_THREADS} reader threads):");
+    println!("readers under sustained writes ({READER_THREADS} reader threads):");
     println!(
         "{:<8} {:>16} {:>16} {:>10}",
         "shards", "idle queries/s", "write queries/s", "retained"
@@ -105,7 +82,6 @@ fn readers_under_writes(docs: &[(u64, Vec<u8>)], patterns: &[Vec<u8>], churn: &[
                 index: DynOptions::default(),
                 mode: RebuildMode::Background,
                 maintenance: MaintenancePolicy::Periodic(Duration::from_micros(500)),
-                fan_out: FanOutPolicy::Pooled,
                 ..StoreOptions::default()
             },
         );
@@ -173,21 +149,12 @@ fn readers_under_writes(docs: &[(u64, Vec<u8>)], patterns: &[Vec<u8>], churn: &[
     println!("lock-based read path serialized readers behind every rebuild install.");
 }
 
-fn policy_name(shards: usize, policy: FanOutPolicy) -> &'static str {
-    match policy {
-        _ if shards == 1 => "direct",
-        FanOutPolicy::Pooled => "pooled",
-        FanOutPolicy::ScopedSpawn => "spawn",
-    }
-}
-
 fn run_config(
     shards: usize,
-    policy: FanOutPolicy,
     docs: &[(u64, Vec<u8>)],
     patterns: &[Vec<u8>],
     churn: &[(u64, Vec<u8>)],
-) -> Row {
+) {
     let store: ShardedStore<FmIndexCompressed> = ShardedStore::new(
         FmConfig { sample_rate: 8 },
         StoreOptions {
@@ -195,7 +162,6 @@ fn run_config(
             index: DynOptions::default(),
             mode: RebuildMode::Background,
             maintenance: MaintenancePolicy::Periodic(Duration::from_micros(500)),
-            fan_out: policy,
             ..StoreOptions::default()
         },
     );
@@ -209,7 +175,7 @@ fn run_config(
     store.finish_background_work();
     let load_mbs = bytes as f64 / t0.elapsed().as_secs_f64() / 1e6;
 
-    // Single-query fan-out latency.
+    // Single-query latency.
     let count_ns = measure_ns(7, || patterns.iter().map(|p| store.count(p)).sum::<usize>())
         / patterns.len() as f64;
     let find_ns = measure_ns(3, || {
@@ -238,76 +204,28 @@ fn run_config(
     .as_secs_f64();
     let queries_per_s = done.load(Ordering::Relaxed) as f64 / qps;
 
-    // Mixed churn: write-path work, identical under either fan-out
-    // policy — measure it once per shard count (on the pooled pass).
-    let churn_cell = if policy == FanOutPolicy::Pooled {
-        let doomed: Vec<u64> = (0..docs.len() as u64).filter(|id| id % 4 == 0).collect();
-        let churn_bytes: usize = churn.iter().map(|(_, d)| d.len()).sum::<usize>()
-            + doomed
-                .iter()
-                .map(|&id| docs[id as usize].1.len())
-                .sum::<usize>();
-        let t1 = Instant::now();
-        store.delete_batch(&doomed).expect("delete batch");
-        for chunk in churn.chunks(256) {
-            store.insert_batch(chunk).expect("insert churn");
-        }
-        store.finish_background_work();
-        format!(
-            "{:.1}",
-            churn_bytes as f64 / t1.elapsed().as_secs_f64() / 1e6
-        )
-    } else {
-        "-".to_string()
-    };
+    // Mixed churn: batch deletes + inserts with maintenance running.
+    let doomed: Vec<u64> = (0..docs.len() as u64).filter(|id| id % 4 == 0).collect();
+    let churn_bytes: usize = churn.iter().map(|(_, d)| d.len()).sum::<usize>()
+        + doomed
+            .iter()
+            .map(|&id| docs[id as usize].1.len())
+            .sum::<usize>();
+    let t1 = Instant::now();
+    store.delete_batch(&doomed).expect("delete batch");
+    for chunk in churn.chunks(256) {
+        store.insert_batch(chunk).expect("insert churn");
+    }
+    store.finish_background_work();
+    let churn_mbs = churn_bytes as f64 / t1.elapsed().as_secs_f64() / 1e6;
 
     println!(
-        "{:<8} {:<8} {:>11.1} MB/s {:>12} {:>12} {:>14.0} {:>14}",
+        "{:<8} {:>11.1} MB/s {:>12} {:>12} {:>14.0} {:>14.1}",
         shards,
-        policy_name(shards, policy),
         load_mbs,
         fmt_ns(count_ns),
         fmt_ns(find_ns),
         queries_per_s,
-        churn_cell
+        churn_mbs
     );
-    Row {
-        shards,
-        policy,
-        count_ns,
-        find_ns,
-        queries_per_s,
-    }
-}
-
-/// The headline: pooled-over-spawn ratios per shard count.
-fn summarize(rows: &[Row]) {
-    println!("pooled-vs-spawn (same shard count; >1.0 = pooled wins):");
-    println!(
-        "{:<8} {:>12} {:>12} {:>12}",
-        "shards", "count", "find", "queries/s"
-    );
-    for shards in [2usize, 4, 8] {
-        let get = |policy: FanOutPolicy| {
-            rows.iter()
-                .find(|r| r.shards == shards && r.policy == policy)
-                .expect("both policies measured")
-        };
-        let pooled = get(FanOutPolicy::Pooled);
-        let spawn = get(FanOutPolicy::ScopedSpawn);
-        println!(
-            "{:<8} {:>11.2}x {:>11.2}x {:>11.2}x",
-            shards,
-            spawn.count_ns / pooled.count_ns,
-            spawn.find_ns / pooled.find_ns,
-            pooled.queries_per_s / spawn.queries_per_s,
-        );
-    }
-    println!();
-    println!("shape checks: bulk-load and churn MB/s rise with shards (parallel");
-    println!("writers, smaller rebuilds). Under spawn fan-out, count/find latency");
-    println!("pays one thread spawn per shard per query, which dominates µs-scale");
-    println!("queries; pooled fan-out replaces the spawn with a channel send to the");
-    println!("shard's resident worker, so small-pattern queries keep most of the");
-    println!("single-shard latency while retaining the write-path scaling.");
 }

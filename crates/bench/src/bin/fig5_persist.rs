@@ -10,19 +10,15 @@
 //!
 //! Also measured: snapshot write cost and bytes on disk (the space price
 //! of durability); restore with a WAL tail (snapshot + logged mutations
-//! replayed through the normal dynamic-buffer path); **delta snapshots**
-//! (a second snapshot after mutating a minority of shards writes only
-//! the changed levels); and **concurrent-reader stall** — queries served
-//! while a snapshot runs, `SnapshotMode::Background` (per-shard freeze +
-//! worker-pool serialization) vs `SnapshotMode::StopTheWorld` (all shard
-//! locks held across serialization).
+//! replayed through the normal dynamic-buffer path); and **delta
+//! snapshots** (a second snapshot after mutating a minority of shards
+//! writes only the changed levels).
 
 use dyndex_bench::workloads::*;
 use dyndex_core::{DynOptions, FmConfig, RebuildMode};
-use dyndex_persist::{DurableStore, RestoreOptions, SnapshotMode, StorePersist};
-use dyndex_store::{FanOutPolicy, MaintenancePolicy, ShardedStore, StoreOptions};
+use dyndex_persist::{DurableStore, RestoreOptions, StorePersist};
+use dyndex_store::{MaintenancePolicy, ShardedStore, StoreOptions};
 use dyndex_text::FmIndexCompressed;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 type Store = ShardedStore<FmIndexCompressed>;
 type Durable = DurableStore<FmIndexCompressed>;
@@ -142,15 +138,13 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
 
     delta_snapshots();
-    reader_stall();
 
     println!("\nshape checks: restore beats rebuild and the gap widens with n;");
     println!("(rebuild pays SA-IS + wavelet construction; restore pays file reads");
     println!("plus linear rank-directory re-derivation). WAL-tail opens sit between");
     println!("pure restore and pure rebuild, scaling with the logged fraction.");
     println!("Delta snapshots write a small fraction of the full snapshot after a");
-    println!("minority-of-shards mutation; Background-mode snapshots serve queries");
-    println!("throughout while StopTheWorld stalls them for the whole write.");
+    println!("minority-of-shards mutation.");
 }
 
 /// Delta vs full: snapshot, mutate only documents routed to shard 0,
@@ -196,69 +190,6 @@ fn delta_snapshots() {
             second.bytes_reused as f64 / 1024.0,
             100.0 * second.bytes_reused as f64 / total.max(1) as f64,
             fmt_ns(delta_ns),
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-/// Reader stall: queries served (and worst query latency seen) while a
-/// snapshot of the same store runs, per [`SnapshotMode`].
-fn reader_stall() {
-    println!("\n--- concurrent-reader stall during one snapshot (pooled store) ---");
-    println!(
-        "{:<14} {:>14} {:>16} {:>16}",
-        "mode", "snapshot", "queries-served", "worst-query"
-    );
-    let n = 1usize << 20;
-    let mut r = rng(0xF16_0008);
-    let text = markov_text(&mut r, n, 26, 3);
-    let docs = split_documents(&mut r, &text, 128, 1024, 0);
-    let patterns = planted_patterns(&mut r, &docs, 8, 4);
-    let store = Store::new(
-        FmConfig::default(),
-        StoreOptions {
-            fan_out: FanOutPolicy::Pooled,
-            maintenance: MaintenancePolicy::Periodic(std::time::Duration::from_millis(1)),
-            ..store_opts()
-        },
-    );
-    for chunk in docs.chunks(256) {
-        store.insert_batch(chunk).expect("insert batch");
-    }
-    store.flush();
-    for (mode, tag) in [
-        (SnapshotMode::Background, "background"),
-        (SnapshotMode::StopTheWorld, "stop-the-world"),
-    ] {
-        // A fresh directory per mode: every level is written, so both
-        // modes pay the same serialization volume.
-        let dir = scratch_dir(&format!("stall-{tag}"));
-        let done = AtomicBool::new(false);
-        let mut served = 0u64;
-        let mut worst_ns = 0.0f64;
-        let mut snap_ns = 0.0f64;
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let t0 = std::time::Instant::now();
-                store.snapshot_with(&dir, mode).expect("snapshot");
-                snap_ns = t0.elapsed().as_nanos() as f64;
-                done.store(true, Ordering::Release);
-            });
-            let mut i = 0usize;
-            while !done.load(Ordering::Acquire) {
-                let t0 = std::time::Instant::now();
-                std::hint::black_box(store.count(&patterns[i % patterns.len()]));
-                worst_ns = worst_ns.max(t0.elapsed().as_nanos() as f64);
-                served += 1;
-                i += 1;
-            }
-        });
-        println!(
-            "{:<14} {:>14} {:>16} {:>16}",
-            tag,
-            fmt_ns(snap_ns),
-            served,
-            fmt_ns(worst_ns),
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

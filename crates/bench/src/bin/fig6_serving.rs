@@ -1,25 +1,17 @@
 //! **Figure 6 harness** (beyond the paper) — the network serving layer
 //! under load: closed-loop and open-loop generators against a live
-//! `dyndex-serve` TCP server, plus a backpressure demonstration.
+//! `dyndex-serve` TCP server.
 //!
-//! Three sections:
+//! Two sections:
 //!
 //! * **Closed loop** — N clients issue count/find requests back-to-back
 //!   (each waits for its reply before sending the next). Throughput and
-//!   latency percentiles vs client count show how far the resident
-//!   worker pool scales before connection handling saturates.
+//!   latency percentiles vs client count show how far the handler
+//!   threads scale before the cores saturate.
 //! * **Open loop** — requests are issued on a fixed arrival schedule
 //!   regardless of completions, and latency is measured from the
 //!   *scheduled* arrival time (coordination-omission-free). As offered
 //!   load approaches capacity, p99 inflates long before p50 does.
-//! * **Shedding** — one shard's worker is wedged for a fixed window
-//!   while a client keeps querying. With the shed threshold engaged,
-//!   fan-out requests get typed `Busy` replies immediately and the
-//!   *accepted* requests keep near-idle latency; with shedding disabled
-//!   the same requests queue behind the wedged worker and p99 blows up
-//!   to the wedge duration. The shape check is the acceptance bar:
-//!   shedding must hold accepted-request p99 under 10x the idle
-//!   baseline where the no-shed configuration exceeds it.
 //!
 //! The server is real (`std::net` TCP over loopback), the clients are
 //! real blocking [`Client`] handles, and every latency includes framing,
@@ -27,12 +19,12 @@
 
 use dyndex_bench::workloads::*;
 use dyndex_core::prelude::*;
-use dyndex_serve::{Client, ClientError, ServeOptions, Server};
-use dyndex_store::{FanOutPolicy, MaintenancePolicy, ShardedStore, StoreOptions, Telemetry};
+use dyndex_serve::{Client, ServeOptions, Server};
+use dyndex_store::{MaintenancePolicy, ShardedStore, StoreOptions, Telemetry};
 use dyndex_text::FmIndexCompressed;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const SHARDS: usize = 4;
@@ -55,8 +47,6 @@ fn main() {
 
     closed_loop(&server, &patterns);
     open_loop(&server, &patterns);
-    drop(server);
-    shedding(&docs, &patterns);
 }
 
 fn server(docs: &[(u64, Vec<u8>)], serve: ServeOptions) -> Server<FmIndexCompressed> {
@@ -67,7 +57,6 @@ fn server(docs: &[(u64, Vec<u8>)], serve: ServeOptions) -> Server<FmIndexCompres
             index: DynOptions::default(),
             mode: RebuildMode::Inline,
             maintenance: MaintenancePolicy::Periodic(Duration::from_secs(3600)),
-            fan_out: FanOutPolicy::Pooled,
             telemetry: Telemetry::Enabled,
             ..StoreOptions::default()
         },
@@ -143,7 +132,7 @@ fn closed_loop(server: &Server<FmIndexCompressed>, patterns: &[Vec<u8>]) {
         );
     }
     println!("shape check: throughput rises with clients while p50 stays flat until");
-    println!("the pool saturates; past that, added clients only deepen the queues.");
+    println!("the cores saturate; past that, added clients only share them.");
 }
 
 /// Open loop: requests arrive on a fixed schedule split across threads;
@@ -224,129 +213,4 @@ fn open_loop(server: &Server<FmIndexCompressed>, patterns: &[Vec<u8>]) {
     println!("time; approaching capacity, arrivals outpace completions in bursts and");
     println!("p99 inflates first — the open loop charges that wait, a closed loop");
     println!("would silently slow its own arrivals instead.");
-}
-
-/// Wedges shard 0's resident worker (a job parked on a channel plus a few
-/// queued no-ops), runs a querying client through the wedge window, and
-/// reports accepted-request latency plus typed-`Busy` counts.
-fn run_wedged(
-    docs: &[(u64, Vec<u8>)],
-    patterns: &[Vec<u8>],
-    shed_queue_depth: usize,
-) -> (Vec<u64>, u64, u64) {
-    let wedge = Duration::from_millis(250);
-    let server = server(
-        docs,
-        ServeOptions {
-            shed_queue_depth,
-            ..ServeOptions::default()
-        },
-    );
-    let (release, parked) = mpsc::channel::<()>();
-    assert!(server.store().submit_background_job(
-        0,
-        Box::new(move || {
-            let _ = parked.recv();
-        })
-    ));
-    for _ in 0..4 {
-        assert!(server.store().submit_background_job(0, Box::new(|| {})));
-    }
-    while server.store().shard_queue_depth(0) < 4 {
-        std::thread::yield_now();
-    }
-
-    // The wedge lifts mid-window from a timer thread: without it, a
-    // no-shed configuration would deadlock the client (its request sits
-    // behind the parked worker, and the release would never run).
-    let releaser = std::thread::spawn(move || {
-        std::thread::sleep(wedge);
-        drop(release);
-    });
-
-    let mut client = Client::connect(server.addr()).expect("connect");
-    let mut accepted = Vec::new();
-    let mut busy = 0u64;
-    let window = wedge * 2;
-    let t0 = Instant::now();
-    let mut i = 0usize;
-    while t0.elapsed() < window {
-        let sent = Instant::now();
-        match client.count(&patterns[i % patterns.len()]) {
-            Ok(_) => accepted.push(sent.elapsed().as_nanos() as u64),
-            Err(ClientError::Busy { .. }) => busy += 1,
-            Err(other) => panic!("unexpected client error: {other}"),
-        }
-        i += 1;
-    }
-    releaser.join().expect("releaser");
-    server.store().flush();
-    let shed_total = server
-        .store()
-        .metrics()
-        .expect("telemetry enabled")
-        .find_counter("dyndex_serve_shed_total")
-        .expect("shed counter")
-        .get();
-    accepted.sort_unstable();
-    (accepted, busy, shed_total)
-}
-
-fn shedding(docs: &[(u64, Vec<u8>)], patterns: &[Vec<u8>]) {
-    // Idle baseline: one client, no wedge, generous shed threshold.
-    let baseline_server = server(docs, ServeOptions::default());
-    let (_, idle_lat) = run_closed(
-        baseline_server.addr(),
-        patterns,
-        1,
-        Duration::from_millis(250),
-    );
-    drop(baseline_server);
-    let idle_p99 = percentile(&idle_lat, 0.99);
-
-    println!("\nshedding (shard 0 wedged for the first 250ms of a 500ms window");
-    println!(
-        "while one client queries; idle p99 baseline {}):",
-        fmt_ns(idle_p99)
-    );
-    println!(
-        "{:<12} {:>10} {:>10} {:>10} {:>12} {:>10} {:>10}",
-        "shed", "accepted", "busy", "p99", "p99/idle", "max", ">10x idle"
-    );
-    let mut ratios = Vec::new();
-    for (label, depth) in [("on (2)", 2usize), ("off (1<<30)", 1usize << 30)] {
-        let (accepted, busy, shed_total) = run_wedged(docs, patterns, depth);
-        let p99 = percentile(&accepted, 0.99);
-        let stalled = accepted
-            .iter()
-            .filter(|&&ns| ns as f64 > 10.0 * idle_p99)
-            .count();
-        ratios.push(p99 / idle_p99);
-        println!(
-            "{:<12} {:>10} {:>10} {:>10} {:>11.1}x {:>10} {:>10}",
-            label,
-            accepted.len(),
-            busy,
-            fmt_ns(p99),
-            p99 / idle_p99,
-            fmt_ns(percentile(&accepted, 1.0)),
-            stalled
-        );
-        if depth == 2 {
-            assert!(shed_total >= busy, "every Busy reply is counted as a shed");
-        }
-    }
-    println!("shape check: with shedding on, fan-out requests that would queue");
-    println!("behind the wedged worker get an immediate typed Busy (counted by");
-    println!("dyndex_serve_shed_total == the busy column) and every accepted");
-    println!("request stays within 10x of the idle p99; with shedding off a");
-    println!("request rides out the wedge instead — its latency climbs toward the");
-    println!("full 250ms wedge (the max column) and the >10x-idle stall count is");
-    println!("nonzero, which is exactly what the shed threshold prevents.");
-    if ratios[0] >= 10.0 {
-        println!(
-            "WARNING: shed-on p99 ratio {:.1}x breached the 10x bound",
-            ratios[0]
-        );
-    }
 }

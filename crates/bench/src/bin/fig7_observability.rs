@@ -1,14 +1,13 @@
 //! **Figure 7 harness** (beyond the paper) — cost and yield of the
 //! `dyndex-obs` telemetry layer.
 //!
-//! The store records every hot-path event by default: per-shard
-//! queue-wait and execute histograms on the fan-out, end-to-end query
-//! latency, write latencies, WAL append/fsync, snapshot generations, and
-//! a bounded ring of query spans. The design rule is *one branch when
-//! disabled* — a `Telemetry::Disabled` store holds no handles and pays
-//! no clock reads — and *wait-free recording when enabled* (striped
-//! atomic histograms, `try_lock` tracer). This harness measures both
-//! claims:
+//! The store records every hot-path event by default: a per-shard
+//! execute histogram on the read path, end-to-end query latency, write
+//! latencies, WAL append/fsync, snapshot generations, and a bounded
+//! ring of span trees. The design rule is *one branch when disabled* —
+//! a `Telemetry::Disabled` store holds no handles and pays no clock
+//! reads — and *wait-free recording when enabled* (striped atomic
+//! histograms, seqlock span ring). This harness measures both claims:
 //!
 //! 1. **Overhead**: multi-threaded query throughput at 8 shards,
 //!    telemetry enabled vs disabled. The acceptance bar is <2% cost.
@@ -21,9 +20,7 @@
 use dyndex_bench::workloads::*;
 use dyndex_core::prelude::*;
 use dyndex_persist::{DurableStore, RestoreOptions};
-use dyndex_store::{
-    FanOutPolicy, MaintenancePolicy, MetricsRegistry, ShardedStore, StoreOptions, Telemetry,
-};
+use dyndex_store::{MaintenancePolicy, MetricsRegistry, ShardedStore, StoreOptions, Telemetry};
 use dyndex_text::FmIndexCompressed;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -39,7 +36,6 @@ fn store_opts(telemetry: Telemetry) -> StoreOptions {
         index: DynOptions::default(),
         mode: RebuildMode::Background,
         maintenance: MaintenancePolicy::Periodic(Duration::from_micros(500)),
-        fan_out: FanOutPolicy::Pooled,
         telemetry,
         ..StoreOptions::default()
     }
@@ -126,8 +122,10 @@ fn main() {
     }
     println!("  {:>5}: {:>9} ns", "max", q.max());
 
-    println!("\nmost recent query spans (route / queue / execute / merge):");
-    for span in enabled.recent_spans().iter().rev().take(4) {
+    println!("\nmost recent query root spans (kind, duration, epochs, result count):");
+    let spans = enabled.flight_spans();
+    // Only roots that parent children carry an id; here, the queries.
+    for span in spans.iter().rev().filter(|s| s.id != 0).take(4) {
         println!("  {span}");
     }
 

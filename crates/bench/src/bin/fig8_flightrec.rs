@@ -3,7 +3,7 @@
 //!
 //! PR 7's `fig7_observability` priced the flat telemetry layer; this
 //! harness prices what PR 8 added on top: every query now records a
-//! root span plus per-shard queue-wait and execute children into the
+//! root span plus one execute child per shard into the
 //! striped seqlock ring, background work records its own span trees,
 //! and a `std::net` admin thread serves `/metrics`, `/health`,
 //! `/spans`, `/slow` concurrently with the workload. Three measured
@@ -19,9 +19,7 @@
 
 use dyndex_bench::workloads::*;
 use dyndex_core::prelude::*;
-use dyndex_store::{
-    FanOutPolicy, HealthOptions, MaintenancePolicy, ShardedStore, StoreOptions, Telemetry,
-};
+use dyndex_store::{HealthOptions, MaintenancePolicy, ShardedStore, StoreOptions, Telemetry};
 use dyndex_text::FmIndexCompressed;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -46,7 +44,6 @@ fn store_opts(telemetry: Telemetry, admin: Option<String>) -> StoreOptions {
         index: DynOptions::default(),
         mode: RebuildMode::Background,
         maintenance: MaintenancePolicy::Periodic(Duration::from_micros(500)),
-        fan_out: FanOutPolicy::Pooled,
         telemetry,
         health: HealthOptions::default(),
         admin,
@@ -167,7 +164,7 @@ fn main() {
     // the A/B delta: on a small shared machine the scheduler noise floor
     // of a multi-threaded A/B (the CI printed above) sits well over 2%,
     // while the recorder's marginal work per query — one root id + the
-    // clock reads and the 2 span writes per shard the fan-out performs,
+    // clock reads and the span write per shard the read path performs,
     // plus the root finish — times deterministically against the
     // measured mean query latency.
     let flight = enabled.flight_recorder().expect("recorder on");
@@ -177,22 +174,13 @@ fn main() {
         let root = flight.next_span_id();
         let start_nanos = flight.now_nanos();
         for shard in 0..SHARDS {
-            let submit = flight.now_nanos();
+            let shard_start = flight.now_nanos();
             flight.record_at(
                 shard,
                 dyndex_obs::Span {
                     shard: Some(shard),
-                    start_nanos: submit,
-                    duration_nanos: 1,
-                    ..dyndex_obs::Span::child(root, dyndex_obs::SpanKind::QueueWait)
-                },
-            );
-            flight.record_at(
-                shard,
-                dyndex_obs::Span {
-                    shard: Some(shard),
-                    start_nanos: submit,
-                    duration_nanos: 1,
+                    start_nanos: shard_start,
+                    duration_nanos: flight.now_nanos() - shard_start,
                     epoch_lo: 1,
                     epoch_hi: 1,
                     ..dyndex_obs::Span::child(root, dyndex_obs::SpanKind::ShardExecute)

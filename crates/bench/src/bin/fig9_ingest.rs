@@ -20,7 +20,7 @@
 use dyndex_bench::workloads::*;
 use dyndex_core::{DynOptions, FmConfig, RebuildMode};
 use dyndex_persist::{DurableStore, RestoreOptions};
-use dyndex_store::{FanOutPolicy, MaintenancePolicy, ShardedStore, StoreOptions};
+use dyndex_store::{MaintenancePolicy, ShardedStore, StoreOptions};
 use dyndex_text::FmIndexCompressed;
 
 type Store = ShardedStore<FmIndexCompressed>;
@@ -32,7 +32,6 @@ fn store_opts(shards: usize) -> StoreOptions {
         index: DynOptions::default(),
         mode: RebuildMode::Background,
         maintenance: MaintenancePolicy::Manual,
-        fan_out: FanOutPolicy::Pooled,
         ..StoreOptions::default()
     }
 }

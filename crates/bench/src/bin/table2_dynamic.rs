@@ -100,7 +100,7 @@ fn run_size(n: usize) {
         });
         row("transform3", count_ns, find_ns, ins, del);
     }
-    // Sharded store over Transformation 2: 4 shards, pooled fan-out,
+    // Sharded store over Transformation 2: 4 shards, reads on this thread,
     // background rebuilds installed by the resident workers.
     {
         let store: ShardedStore<FmIndexCompressed> = ShardedStore::new(

@@ -1,8 +1,8 @@
 //! # dyndex-bench
 //!
 //! The benchmark harness that regenerates every table and figure of the
-//! paper's evaluation (see `DESIGN.md` §3 for the experiment index and
-//! `EXPERIMENTS.md` for recorded results).
+//! paper's evaluation (the repo benchmark with its recorded reference
+//! numbers is separate: see `benchmark/README.md`).
 //!
 //! Binaries (run with `cargo run -p dyndex-bench --release --bin <name>`):
 //!

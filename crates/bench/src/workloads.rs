@@ -1,7 +1,7 @@
 //! Deterministic workload generators for the benchmark harness.
 //!
-//! Everything is seeded (`rand_chacha`) so EXPERIMENTS.md numbers are
-//! reproducible run-to-run and machine-to-machine.
+//! Everything is seeded (`rand_chacha`) so the table binaries' counts
+//! are reproducible run-to-run and machine-to-machine.
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;

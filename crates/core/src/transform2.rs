@@ -1165,7 +1165,8 @@ impl<I: StaticIndex> Transform2Index<I> {
 
     /// A.3: keep `nf = Θ(n)` by refreshing the capacity schedule when `n`
     /// leaves `[nf/2, 2nf]`. (Top re-binning is handled lazily by the
-    /// maintenance schedule rather than eagerly — see DESIGN.md.)
+    /// maintenance schedule rather than eagerly — see "Rebuild
+    /// lifecycle" in `docs/ARCHITECTURE.md`.)
     fn maybe_refresh_schedule(&mut self) {
         let nf = self.schedule.nf.max(self.options.min_capacity);
         if self.n > 2 * nf
@@ -1223,7 +1224,7 @@ impl<I: StaticIndex> Transform2Index<I> {
     /// [`RebuildMode::Inline`], but in `Background` mode it varies with
     /// rebuild-install timing (the *set queried over* is always exact;
     /// only the truncation choice shifts). Sharded callers
-    /// (`dyndex-store`) use this to cap per-shard fan-out work.
+    /// (`dyndex-store`) use this to cap per-shard work.
     pub fn find_limit(&self, pattern: &[u8], limit: usize) -> Vec<Occurrence> {
         let mut out = Vec::new();
         if limit == 0 {

@@ -3,12 +3,10 @@
 //! work (rebuilds, installs, WAL appends and fsyncs, snapshot freezes
 //! and serializations, epoch-GC passes).
 //!
-//! PR 7's [`Tracer`](crate::Tracer) records one flat latency breakdown
-//! per query. The flight recorder generalizes it: every span carries a
-//! `span_id`/`parent_id` pair, so a query span has per-shard queue-wait
-//! and execute *children* recorded by the pool workers themselves, and a
-//! background snapshot has per-shard freeze/serialize children — causal
-//! trees for work that never touches the query path.
+//! Every span carries a `span_id`/`parent_id` pair, so a query's root
+//! span has one execute *child* per shard visited, and a background
+//! snapshot has per-shard freeze/serialize children — causal trees for
+//! work that never touches the query path.
 //!
 //! ## Recording is wait-free
 //!
@@ -34,8 +32,8 @@ use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// What a span measured. Foreground query kinds mirror
-/// [`QueryKind`](crate::QueryKind); the rest are background work.
+/// What a span measured: the three foreground query kinds, their
+/// per-shard child, and every kind of background work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
     /// A multi-shard `count` query (root span).
@@ -44,9 +42,6 @@ pub enum SpanKind {
     Find,
     /// A multi-shard `find_limit` query (root span).
     FindLimit,
-    /// Child of a query: submit-to-pickup wait in one shard's worker
-    /// queue.
-    QueueWait,
     /// Child of a query: one shard's execution against its published
     /// view.
     ShardExecute,
@@ -83,7 +78,6 @@ impl SpanKind {
             SpanKind::Count => 1,
             SpanKind::Find => 2,
             SpanKind::FindLimit => 3,
-            SpanKind::QueueWait => 4,
             SpanKind::ShardExecute => 5,
             SpanKind::Rebuild => 6,
             SpanKind::LevelInstall => 7,
@@ -104,7 +98,6 @@ impl SpanKind {
             1 => SpanKind::Count,
             2 => SpanKind::Find,
             3 => SpanKind::FindLimit,
-            4 => SpanKind::QueueWait,
             5 => SpanKind::ShardExecute,
             6 => SpanKind::Rebuild,
             7 => SpanKind::LevelInstall,
@@ -127,7 +120,6 @@ impl SpanKind {
             SpanKind::Count => "count",
             SpanKind::Find => "find",
             SpanKind::FindLimit => "find_limit",
-            SpanKind::QueueWait => "queue_wait",
             SpanKind::ShardExecute => "execute",
             SpanKind::Rebuild => "rebuild",
             SpanKind::LevelInstall => "level_install",
@@ -574,7 +566,6 @@ mod tests {
             SpanKind::Count,
             SpanKind::Find,
             SpanKind::FindLimit,
-            SpanKind::QueueWait,
             SpanKind::ShardExecute,
             SpanKind::Rebuild,
             SpanKind::LevelInstall,
@@ -702,7 +693,7 @@ mod tests {
         rec.record(Span {
             shard: Some(1),
             duration_nanos: 80,
-            ..Span::child(slow, SpanKind::QueueWait)
+            ..Span::child(slow, SpanKind::ShardExecute)
         });
         rec.finish_root(Span {
             duration_nanos: 250,
@@ -712,7 +703,7 @@ mod tests {
         assert_eq!(trees.len(), 1);
         assert_eq!(trees[0][0].id, slow, "root first");
         assert_eq!(trees[0].len(), 2, "child captured with the tree");
-        assert!(rec.render_slow().contains("queue_wait"));
+        assert!(rec.render_slow().contains("execute"));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Zero-dependency telemetry for dyndex: lock-free metrics, log-bucketed
-//! latency histograms, bounded query tracing, and Prometheus-style text
+//! latency histograms, a bounded span recorder, and Prometheus-style text
 //! exposition.
 //!
 //! Like the `Persist` codec, this crate is std-only by design — the registry
 //! must work offline, embedded in benches and tests, with nothing to vendor.
 //!
-//! Three layers:
+//! The layers:
 //!
 //! - **Primitives** ([`Counter`], [`Gauge`], [`Histogram`]): plain atomics,
 //!   wait-free recording, no allocation on the hot path. Histograms stripe
@@ -16,14 +16,14 @@
 //!   [`MetricsRegistry::render_text`] exposition. Re-registering a name
 //!   returns the same handle — a restored store pointed at the old registry
 //!   keeps accumulating into the same series.
-//! - **Tracer** ([`Tracer`]): a bounded ring buffer of per-query
-//!   [`QuerySpan`]s (route → queue-wait → shard-execute → merge, with the
-//!   view epoch range the read served from).
-//! - **Flight recorder** ([`FlightRecorder`]): always-on causal span trees
-//!   ([`Span`] with `id`/`parent` links) covering foreground queries *and*
-//!   background work — rebuilds, installs, WAL appends/fsyncs, snapshot
-//!   freezes/serializations, epoch-GC — in a wait-free seqlock ring, with a
-//!   threshold-gated slow-op log that keeps full trees for slow operations.
+//! - **Flight recorder** ([`FlightRecorder`]): the one span recorder —
+//!   always-on causal span trees ([`Span`] with `id`/`parent` links)
+//!   covering foreground queries (a root carrying kind, duration, result
+//!   count and the view epoch range served from, one execute child per
+//!   shard) *and* background work — rebuilds, installs, WAL
+//!   appends/fsyncs, snapshot freezes/serializations, epoch-GC — in a
+//!   wait-free seqlock ring, with a threshold-gated slow-op log that
+//!   keeps full trees for slow operations.
 //! - **Health** ([`HealthReport`]): the typed Ok/Degraded/Unhealthy verdict
 //!   vocabulary the store's watchdog folds its detector findings into.
 //! - **Admin endpoint** ([`AdminServer`]): a std-only `GET`-route HTTP
@@ -50,7 +50,6 @@ mod net;
 mod recorder;
 mod registry;
 mod server;
-mod trace;
 
 pub use flight::{FlightRecorder, Span, SpanKind};
 pub use health::{HealthReason, HealthReport, HealthStatus};
@@ -59,4 +58,3 @@ pub use net::DeadlineReader;
 pub use recorder::{NoopRecorder, Recorder};
 pub use registry::{MetricsRegistry, Unit};
 pub use server::{AdminHandler, AdminResponse, AdminServer};
-pub use trace::{QueryKind, QuerySpan, Tracer};

@@ -9,18 +9,18 @@
 //! the store's resident worker pool per
 //! [`RestoreOptions`](crate::RestoreOptions).
 //!
-//! Queries delegate straight to the wrapped store (same fan-out, same
+//! Queries delegate straight to the wrapped store (same read path, same
 //! deterministic merge); only mutations pay the logging detour.
 
 use crate::codec::Persist;
 use crate::error::PersistError;
 use crate::snapshot::{
-    read_manifest, replay_wal, restore_snapshot, write_snapshot, RestoreOptions, SnapshotMode,
-    SnapshotStats, MANIFEST_FILE,
+    read_manifest, replay_wal, restore_snapshot, write_snapshot, RestoreOptions, SnapshotStats,
+    MANIFEST_FILE,
 };
 use crate::wal::{read_wal_records, wal_path, WalMetrics, WalOptions, WalRecord, WalWriter};
 use dyndex_core::StaticIndex;
-use dyndex_obs::{MetricsRegistry, QuerySpan};
+use dyndex_obs::MetricsRegistry;
 use dyndex_store::{IngestStats, ShardedStore, StoreOptions, StoreStats};
 use dyndex_text::Occurrence;
 use std::path::{Path, PathBuf};
@@ -82,7 +82,7 @@ where
             )));
         }
         let store = ShardedStore::new(config, options);
-        let stats = write_snapshot(&store, dir, 0, SnapshotMode::default())?;
+        let stats = write_snapshot(&store, dir, 0)?;
         let wals = Self::open_wals(dir, &store, wal)?;
         Ok(DurableStore {
             store,
@@ -96,9 +96,9 @@ where
     /// Opens an existing durable store: restores the last committed
     /// snapshot, replays the WAL tails, resumes logging after the
     /// highest replayed sequence number, and re-creates the per-shard
-    /// worker pool (per `options.maintenance` / `options.fan_out`) so
-    /// the reopened store serves pooled queries and background installs
-    /// exactly like the one that wrote the snapshot. See the crate-level
+    /// worker pool (per `options.maintenance`) so the reopened store
+    /// runs background installs exactly like the one that wrote the
+    /// snapshot. See the crate-level
     /// example for the full create → mutate → reopen round-trip.
     pub fn open(dir: &Path, options: RestoreOptions) -> Result<Self, PersistError> {
         let manifest = read_manifest(dir)?;
@@ -431,23 +431,16 @@ where
 
     /// Commits a new snapshot generation covering everything applied so
     /// far (re-serializing only changed levels — see the snapshot module
-    /// docs), then truncates the logs it covers. Uses the default
-    /// [`SnapshotMode::Background`]: writers are held off via the WAL
-    /// locks (which also makes the per-shard cut globally consistent),
-    /// but readers keep querying throughout — serialization runs on the
-    /// worker pool, interleaved with query service.
+    /// docs), then truncates the logs it covers. Writers are held off
+    /// via the WAL locks (which also makes the per-shard cut globally
+    /// consistent), but readers keep querying throughout — shards freeze
+    /// one at a time and serialization runs on the worker pool.
     pub fn snapshot(&self) -> Result<SnapshotStats, PersistError> {
-        self.snapshot_with(SnapshotMode::default())
-    }
-
-    /// [`DurableStore::snapshot`] with an explicit [`SnapshotMode`]
-    /// (`StopTheWorld` additionally blocks readers for the duration).
-    pub fn snapshot_with(&self, mode: SnapshotMode) -> Result<SnapshotStats, PersistError> {
         let started = Instant::now();
         let mut wals: Vec<MutexGuard<'_, WalWriter>> =
             (0..self.wals.len()).map(|s| self.wal(s)).collect();
         let seq = self.seq.load(Ordering::SeqCst);
-        let stats = write_snapshot(&self.store, &self.dir, seq, mode)?;
+        let stats = write_snapshot(&self.store, &self.dir, seq)?;
         for wal in wals.iter_mut() {
             wal.truncate()?;
         }
@@ -540,11 +533,6 @@ where
     /// See [`ShardedStore::render_metrics`].
     pub fn render_metrics(&self) -> Option<String> {
         self.store.render_metrics()
-    }
-
-    /// See [`ShardedStore::recent_spans`].
-    pub fn recent_spans(&self) -> Vec<QuerySpan> {
-        self.store.recent_spans()
     }
 
     /// See [`ShardedStore::flight_spans`]. WAL appends and fsyncs show

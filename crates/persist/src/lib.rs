@@ -78,6 +78,6 @@ pub use durable::DurableStore;
 pub use error::PersistError;
 pub use snapshot::{
     read_manifest, LevelFileEntry, Manifest, RestoreOptions, ShardFileEntry, ShardManifest,
-    SnapshotMode, SnapshotStats, StorePersist, MANIFEST_FILE, NO_WAL, ROUTE_SPLITMIX64,
+    SnapshotStats, StorePersist, MANIFEST_FILE, NO_WAL, ROUTE_SPLITMIX64,
 };
 pub use wal::{SyncPolicy, WalOptions};

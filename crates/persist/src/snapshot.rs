@@ -38,17 +38,16 @@
 //! any two steps restores from the last committed manifest with all of
 //! its (possibly shared) content files intact.
 //!
-//! ## Snapshot modes
+//! ## The snapshot never stalls the store
 //!
-//! [`SnapshotMode::Background`] (the default) quiesces and freezes one
-//! shard at a time — each shard's write lock is held only for an
-//! O(levels) `Arc` clone — then serializes the frozen structures on the
-//! store's resident worker pool, interleaved with query service: the
-//! store never stalls globally for a snapshot.
-//! [`SnapshotMode::StopTheWorld`] holds every shard's write lock from
-//! quiesce to manifest commit (one globally consistent cut, full query
-//! stall) — kept for comparison and for callers that need a cross-shard
-//! point in time without an external write barrier.
+//! A snapshot quiesces and freezes one shard at a time — each shard's
+//! write lock is held only for an O(levels) `Arc` clone, and no two
+//! shard locks are ever held together — then serializes the frozen
+//! structures off-lock on the store's resident worker pool (inline when
+//! no pool exists). Queries never wait on any of it. The cut is
+//! per-shard: shard `i` is captured at the instant it is frozen;
+//! `DurableStore` holds its WAL locks across the snapshot, which makes
+//! the cut cross-shard consistent there.
 
 use crate::codec::{
     crc32, decode_framed, encode_framed, read_frame, read_str, read_u16, read_u32, read_u64,
@@ -61,7 +60,7 @@ use crate::wal::{read_wal_records, wal_path, WalOptions, WalRecord};
 use dyndex_core::transform2::{FrozenLevel, FrozenSlot, FrozenSnapshot};
 use dyndex_core::{DeletionOnlyIndex, DynOptions, RebuildMode, StaticIndex, Transform2Index};
 use dyndex_obs::{Span, SpanKind};
-use dyndex_store::{FanOutPolicy, MaintenancePolicy, ShardedStore, Telemetry};
+use dyndex_store::{MaintenancePolicy, ShardedStore, Telemetry};
 use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
 use std::path::Path;
@@ -84,27 +83,6 @@ const TAG_MANIFEST: u16 = 0x00AC;
 const TAG_SHARD_META: u16 = 0x00AD;
 /// Per-level content file tag (one serialized static structure).
 const TAG_LEVEL: u16 = 0x00AE;
-
-/// How a snapshot acquires its point-in-time view of the store.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SnapshotMode {
-    /// Quiesce and freeze one shard at a time (each write lock held only
-    /// for an O(levels) `Arc` clone), then serialize off-lock on the
-    /// resident worker pool, interleaved with query service. Queries
-    /// never see more than one shard's write lock held at a time, and
-    /// never wait on serialization. The cut is per-shard: shard `i` is
-    /// captured at the instant it is frozen (`DurableStore` holds its
-    /// WAL locks across the snapshot, which restores a cross-shard
-    /// consistent cut there).
-    #[default]
-    Background,
-    /// Hold every shard's write lock across freezing, serialization,
-    /// *and* the file writes up to the manifest commit: one globally
-    /// consistent cut, full query stall for the whole snapshot — the
-    /// behavior Background mode exists to avoid, kept for comparison
-    /// (`fig5_persist` measures the reader-stall difference).
-    StopTheWorld,
-}
 
 /// One file as recorded by the manifest.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -384,14 +362,13 @@ impl std::fmt::Display for SnapshotStats {
 /// ```
 /// use dyndex_core::RebuildMode;
 /// use dyndex_persist::{RestoreOptions, SyncPolicy};
-/// use dyndex_store::{FanOutPolicy, MaintenancePolicy};
+/// use dyndex_store::MaintenancePolicy;
 ///
 /// // The default restores into the production configuration: background
-/// // rebuilds, a resident worker per shard, pooled query fan-out, and
-/// // snapshot-paced WAL fsyncs.
+/// // rebuilds, a resident worker per shard, and snapshot-paced WAL
+/// // fsyncs.
 /// let options = RestoreOptions::default();
 /// assert_eq!(options.mode, RebuildMode::Background);
-/// assert_eq!(options.fan_out, FanOutPolicy::Pooled);
 /// assert!(matches!(options.maintenance, MaintenancePolicy::Periodic(_)));
 /// assert_eq!(options.wal.sync, SyncPolicy::OnSnapshot);
 /// ```
@@ -402,9 +379,6 @@ pub struct RestoreOptions {
     /// Background maintenance driving policy (the per-shard worker pool
     /// is re-created under [`MaintenancePolicy::Periodic`]).
     pub maintenance: MaintenancePolicy,
-    /// Query fan-out execution model for the restored store (see
-    /// [`FanOutPolicy`]).
-    pub fan_out: FanOutPolicy,
     /// Write-ahead-log fsync policy for the reopened logs
     /// (`DurableStore::open`; ignored by plain `restore`).
     pub wal: WalOptions,
@@ -420,7 +394,6 @@ impl Default for RestoreOptions {
         RestoreOptions {
             mode: RebuildMode::Background,
             maintenance: MaintenancePolicy::Periodic(Duration::from_millis(1)),
-            fan_out: FanOutPolicy::Pooled,
             wal: WalOptions::default(),
             telemetry: Telemetry::default(),
         }
@@ -585,7 +558,6 @@ pub(crate) fn write_snapshot<I>(
     store: &ShardedStore<I>,
     dir: &Path,
     wal_seq: u64,
-    mode: SnapshotMode,
 ) -> Result<SnapshotStats, PersistError>
 where
     I: StaticIndex + Sync + Persist,
@@ -645,126 +617,80 @@ where
         }
     }
 
-    let config;
-    let options;
-    let mut encoded: Vec<ShardEncoded> = Vec::with_capacity(store.num_shards());
-    // StopTheWorld keeps these guards alive until after the manifest
-    // commit: the whole snapshot — quiesce, serialization, file writes —
-    // is one global stall, the behavior Background mode exists to avoid.
-    let mut stw_guards = None;
-    match mode {
-        SnapshotMode::StopTheWorld => {
-            let mut guards = store.lock_all_shards();
-            for guard in guards.iter_mut() {
-                guard.finish_background_work();
-            }
-            config = guards[0].persist_config().clone();
-            options = *guards[0].persist_options();
-            for (shard, guard) in guards.iter().enumerate() {
-                let freeze_start = stamp();
-                let frozen = guard
-                    .freeze()
-                    .expect("finish_background_work leaves the shard quiesced");
-                child_span(shard, SpanKind::ShardFreeze, freeze_start, 0);
-                let (mut outcomes, todo) = plan_shard(shard, &frozen, &reuse);
-                let serialize_start = stamp();
-                let mut level_bytes = 0u64;
-                for (idx, index) in todo {
-                    let framed = encode_level(&*index)?;
-                    level_bytes += framed.len() as u64;
-                    outcomes[idx].set_framed(framed);
+    let (config, options) = {
+        let guard = store.lock_shard(0);
+        (guard.persist_config().clone(), *guard.persist_options())
+    };
+    // Freeze one shard at a time: each write lock is held only for the
+    // quiesce + O(levels) Arc clones; every other shard keeps serving
+    // throughout. No two shard locks are ever held simultaneously.
+    let frozen: Vec<FrozenSnapshot<I>> = (0..store.num_shards())
+        .map(|s| {
+            let freeze_start = stamp();
+            let fz = store.freeze_shard(s);
+            child_span(s, SpanKind::ShardFreeze, freeze_start, 0);
+            fz
+        })
+        .collect();
+    let serializing = SnapshotFlag::set(store);
+    // Serialize changed levels on the resident worker pool, one job per
+    // level, off every lock; poolless stores encode inline.
+    let (tx, rx) = mpsc::channel::<(usize, usize, std::io::Result<Vec<u8>>)>();
+    let mut pending = 0usize;
+    let mut plans: Vec<Vec<LevelOutcome>> = Vec::with_capacity(frozen.len());
+    for (shard, fz) in frozen.iter().enumerate() {
+        let (outcomes, todo) = plan_shard(shard, fz, &reuse);
+        for (idx, index) in todo {
+            pending += 1;
+            let job_tx = tx.clone();
+            let job_index = Arc::clone(&index);
+            let job_flight = flight.clone();
+            let job = Box::new(move || {
+                let start = job_flight.as_ref().map(|f| (f.now_nanos(), Instant::now()));
+                let result = encode_level(&*job_index);
+                if let (Some(f), Some((start_nanos, started))) = (&job_flight, start) {
+                    f.record_at(
+                        shard,
+                        Span {
+                            shard: Some(shard),
+                            start_nanos,
+                            duration_nanos: started.elapsed().as_nanos() as u64,
+                            detail: result.as_ref().map_or(0, |b| b.len() as u64),
+                            ..Span::child(snap_root, SpanKind::ShardSerialize)
+                        },
+                    );
                 }
+                let _ = job_tx.send((shard, idx, result));
+            });
+            if !store.submit_background_job(shard, job) {
+                let start = stamp();
+                let result = encode_level(&*index);
                 child_span(
                     shard,
                     SpanKind::ShardSerialize,
-                    serialize_start,
-                    level_bytes,
+                    start,
+                    result.as_ref().map_or(0, |b| b.len() as u64),
                 );
-                encoded.push(ShardEncoded {
-                    meta: encode_meta(&frozen)?,
-                    levels: outcomes,
-                });
-            }
-            stw_guards = Some(guards);
-        }
-        SnapshotMode::Background => {
-            {
-                let guard = store.lock_shard(0);
-                config = guard.persist_config().clone();
-                options = *guard.persist_options();
-            }
-            // Freeze one shard at a time: each write lock is held only
-            // for the quiesce + O(levels) Arc clones; every other shard
-            // keeps serving throughout. No two shard locks are ever held
-            // simultaneously on this path.
-            let frozen: Vec<FrozenSnapshot<I>> = (0..store.num_shards())
-                .map(|s| {
-                    let freeze_start = stamp();
-                    let fz = store.freeze_shard(s);
-                    child_span(s, SpanKind::ShardFreeze, freeze_start, 0);
-                    fz
-                })
-                .collect();
-            let _flag = SnapshotFlag::set(store);
-            // Serialize changed levels on the resident worker pool, one
-            // job per level so encoding interleaves with query service;
-            // poolless stores encode inline (still off-lock).
-            let (tx, rx) = mpsc::channel::<(usize, usize, std::io::Result<Vec<u8>>)>();
-            let mut pending = 0usize;
-            let mut plans: Vec<Vec<LevelOutcome>> = Vec::with_capacity(frozen.len());
-            for (shard, fz) in frozen.iter().enumerate() {
-                let (outcomes, todo) = plan_shard(shard, fz, &reuse);
-                for (idx, index) in todo {
-                    pending += 1;
-                    let job_tx = tx.clone();
-                    let job_index = Arc::clone(&index);
-                    let job_flight = flight.clone();
-                    let job = Box::new(move || {
-                        let start = job_flight.as_ref().map(|f| (f.now_nanos(), Instant::now()));
-                        let result = encode_level(&*job_index);
-                        if let (Some(f), Some((start_nanos, started))) = (&job_flight, start) {
-                            f.record_at(
-                                shard,
-                                Span {
-                                    shard: Some(shard),
-                                    start_nanos,
-                                    duration_nanos: started.elapsed().as_nanos() as u64,
-                                    detail: result.as_ref().map_or(0, |b| b.len() as u64),
-                                    ..Span::child(snap_root, SpanKind::ShardSerialize)
-                                },
-                            );
-                        }
-                        let _ = job_tx.send((shard, idx, result));
-                    });
-                    if !store.submit_background_job(shard, job) {
-                        let start = stamp();
-                        let result = encode_level(&*index);
-                        child_span(
-                            shard,
-                            SpanKind::ShardSerialize,
-                            start,
-                            result.as_ref().map_or(0, |b| b.len() as u64),
-                        );
-                        let _ = tx.send((shard, idx, result));
-                    }
-                }
-                plans.push(outcomes);
-            }
-            drop(tx);
-            for _ in 0..pending {
-                let (shard, idx, result) = rx.recv().map_err(|_| {
-                    PersistError::corrupt("snapshot serialization worker disappeared")
-                })?;
-                plans[shard][idx].set_framed(result?);
-            }
-            for (fz, outcomes) in frozen.iter().zip(plans) {
-                encoded.push(ShardEncoded {
-                    meta: encode_meta(fz)?,
-                    levels: outcomes,
-                });
+                let _ = tx.send((shard, idx, result));
             }
         }
+        plans.push(outcomes);
     }
+    drop(tx);
+    for _ in 0..pending {
+        let (shard, idx, result) = rx
+            .recv()
+            .map_err(|_| PersistError::corrupt("snapshot serialization worker disappeared"))?;
+        plans[shard][idx].set_framed(result?);
+    }
+    let mut encoded: Vec<ShardEncoded> = Vec::with_capacity(frozen.len());
+    for (fz, outcomes) in frozen.iter().zip(plans) {
+        encoded.push(ShardEncoded {
+            meta: encode_meta(fz)?,
+            levels: outcomes,
+        });
+    }
+    drop(serializing);
 
     // Write fresh files, assemble the manifest, commit, collect garbage.
     let mut shards = Vec::with_capacity(encoded.len());
@@ -841,7 +767,6 @@ where
     // The store's state now descends from this commit: its next
     // snapshot into the same directory may reuse unchanged files.
     store.set_snapshot_lineage(commit_uid);
-    drop(stw_guards);
     if let (Some(f), Some((id, start_nanos, started))) = (&flight, snap_start) {
         f.finish_root(Span {
             start_nanos,
@@ -938,12 +863,7 @@ where
             .map_err(PersistError::corrupt)?;
         shards.push(index);
     }
-    let store = ShardedStore::from_shard_indexes(
-        shards,
-        options.maintenance,
-        options.fan_out,
-        &options.telemetry,
-    );
+    let store = ShardedStore::from_shard_indexes(shards, options.maintenance, &options.telemetry);
     // The restored state descends from this commit: its next snapshot
     // into the same directory can reuse every unchanged level file —
     // unless someone else commits in between (fork detection).
@@ -1007,12 +927,11 @@ where
 /// Snapshot/restore as methods on [`ShardedStore`].
 ///
 /// `snapshot` writes a point-in-time image re-serializing only changed
-/// levels (delta snapshot), in [`SnapshotMode::Background`] by default —
-/// per-shard freezing plus worker-pool serialization, so queries never
-/// stall store-wide; `snapshot_with` picks the mode explicitly.
+/// levels (delta snapshot) — per-shard freezing plus worker-pool
+/// serialization, so queries never stall store-wide.
 /// `restore` reads the latest committed manifest, rebuilds every shard,
 /// re-creates the resident worker pool (per
-/// [`RestoreOptions::maintenance`] and [`RestoreOptions::fan_out`]), and
+/// [`RestoreOptions::maintenance`]), and
 /// — when the directory carries a write-ahead log (see `DurableStore`) —
 /// replays the logged tail through the normal dynamic-buffer path,
 /// recovering the exact pre-crash logical state.
@@ -1021,7 +940,7 @@ where
 ///
 /// ```
 /// use dyndex_core::FmConfig;
-/// use dyndex_persist::{RestoreOptions, SnapshotMode, StorePersist};
+/// use dyndex_persist::{RestoreOptions, StorePersist};
 /// use dyndex_store::{ShardedStore, StoreOptions};
 /// use dyndex_text::FmIndexCompressed;
 ///
@@ -1032,7 +951,7 @@ where
 /// store.insert(1, b"snapshot me");
 /// let first = store.snapshot(&dir).unwrap();
 /// // A second snapshot with nothing changed reuses every level file.
-/// let second = store.snapshot_with(&dir, SnapshotMode::StopTheWorld).unwrap();
+/// let second = store.snapshot(&dir).unwrap();
 /// assert_eq!(second.generation, first.generation + 1);
 /// let restored: ShardedStore<FmIndexCompressed> =
 ///     ShardedStore::restore(&dir, RestoreOptions::default()).unwrap();
@@ -1041,14 +960,8 @@ where
 /// std::fs::remove_dir_all(&dir).unwrap();
 /// ```
 pub trait StorePersist: Sized {
-    /// Writes a snapshot of `self` into `dir` in the default
-    /// [`SnapshotMode::Background`].
-    fn snapshot(&self, dir: &Path) -> Result<SnapshotStats, PersistError> {
-        self.snapshot_with(dir, SnapshotMode::default())
-    }
-
-    /// Writes a snapshot of `self` into `dir` in the given mode.
-    fn snapshot_with(&self, dir: &Path, mode: SnapshotMode) -> Result<SnapshotStats, PersistError>;
+    /// Writes a snapshot of `self` into `dir`.
+    fn snapshot(&self, dir: &Path) -> Result<SnapshotStats, PersistError>;
 
     /// Rebuilds a store from the snapshot (plus WAL tail) in `dir`.
     fn restore(dir: &Path, options: RestoreOptions) -> Result<Self, PersistError>;
@@ -1059,8 +972,8 @@ where
     I: StaticIndex + Sync + Persist,
     I::Config: Persist,
 {
-    fn snapshot_with(&self, dir: &Path, mode: SnapshotMode) -> Result<SnapshotStats, PersistError> {
-        write_snapshot(self, dir, NO_WAL, mode)
+    fn snapshot(&self, dir: &Path) -> Result<SnapshotStats, PersistError> {
+        write_snapshot(self, dir, NO_WAL)
     }
 
     fn restore(dir: &Path, options: RestoreOptions) -> Result<Self, PersistError> {

@@ -14,12 +14,12 @@
 //!
 //! The server ([`Server`]) multiplexes connections onto a bounded
 //! acceptor/handler thread set. Handlers translate requests into the
-//! store's normal operations — queries ride the resident per-shard
-//! worker pool through the existing closure+reply-channel fan-out, so a
-//! handler thread blocks only on reply channels, never on shard locks.
-//! Backpressure is explicit: when a shard's worker queue reaches the
-//! shed threshold the server answers [`Response::Busy`] instead of
-//! queueing more work, counted by the `dyndex_serve_shed_total` metric.
+//! store's normal operations — a read runs right on its handler thread
+//! against the shards' published views, so it waits on no queue and no
+//! shard lock, and the connection cap bounds reads in flight.
+//! Backpressure is explicit: a connection past the cap, or a write whose
+//! shard's worker queue has reached the shed threshold, is answered
+//! [`Response::Busy`], counted by the `dyndex_serve_shed_total` metric.
 //! Per-request metrics and flight-recorder root spans flow into the
 //! store's `dyndex-obs` telemetry.
 //!

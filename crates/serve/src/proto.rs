@@ -361,10 +361,11 @@ pub enum Response {
     },
     /// The server shed this request under load; retry later.
     Busy {
-        /// The overloaded shard, `None` when the whole store's fan-out
-        /// path is saturated.
+        /// The overloaded shard for a shed write, `None` when the
+        /// connection itself was refused at the connection cap.
         shard: Option<u32>,
-        /// Queue depth observed at the shed decision.
+        /// Queue depth (or open connections) observed at the shed
+        /// decision.
         queued: u64,
     },
     /// The request failed with a typed error; the connection remains

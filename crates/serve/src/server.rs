@@ -1,6 +1,6 @@
 //! The serving loop: a bounded acceptor/handler thread set translating
-//! wire-protocol requests into store operations, with queue-depth
-//! backpressure and graceful shutdown.
+//! wire-protocol requests into store operations, with connection-count
+//! admission, queue-depth backpressure for writes, and graceful shutdown.
 //!
 //! ## Life of a remote query
 //!
@@ -11,14 +11,14 @@
 //!    first byte of a frame, then requires the *whole* frame within
 //!    [`ServeOptions::frame_timeout`] — both absolute deadlines via
 //!    [`DeadlineReader`], so a trickling client cannot pin the thread.
-//! 3. Before executing, the handler reads the store's live worker-queue
-//!    gauges: a depth at or past [`ServeOptions::shed_queue_depth`]
-//!    answers [`Response::Busy`] instead of queueing more work.
-//! 4. The request runs through the store's normal paths — queries fan
-//!    out over the resident per-shard worker pool via the existing
-//!    closure+reply-channel submission; the handler thread blocks only
-//!    on reply channels, never on shard locks.
-//! 5. The response is framed back, and a flight-recorder root span plus
+//! 3. The request runs through the store's normal paths. A read executes
+//!    right here on the handler thread against the shards' published
+//!    views — no queue, no shard lock — so reads in flight ≤ open
+//!    connections ≤ [`ServeOptions::max_connections`], and step 1 is the
+//!    only admission a read needs. A write first checks its shard's live
+//!    worker-queue gauge: a depth at or past
+//!    [`ServeOptions::shed_queue_depth`] answers [`Response::Busy`].
+//! 4. The response is framed back, and a flight-recorder root span plus
 //!    request metrics land in the store's telemetry.
 //!
 //! Malformed frames never panic the server: every failure is a typed
@@ -50,9 +50,12 @@ pub struct ServeOptions {
     /// Concurrent connections admitted; excess connections receive a
     /// best-effort `Busy` frame and are closed.
     pub max_connections: usize,
-    /// Worker-queue depth at which requests are shed with
-    /// [`Response::Busy`] instead of queued (`Stats`/`Health` are never
-    /// shed — operators need them most under load).
+    /// Depth of a shard's worker queue at which writes routed to that
+    /// shard are shed with [`Response::Busy`]. Reads, `Stats` and
+    /// `Health` are never shed per request: a read rides no queue (it
+    /// occupies only its connection's handler thread, so
+    /// `max_connections` bounds reads in flight), and operators need
+    /// `Stats`/`Health` most under load.
     pub shed_queue_depth: usize,
     /// How long a connection may sit idle between frames.
     pub idle_timeout: Duration,
@@ -423,11 +426,24 @@ fn serve_connection<I: StaticIndex + Sync>(
                 }
             }
         };
-        if response
-            .write_frame(&mut &*conn, options.max_frame_len)
-            .is_err()
-        {
-            return;
+        match response.write_frame(&mut &*conn, options.max_frame_len) {
+            Ok(()) => {}
+            // Rejected before a byte reached the socket, so the stream is
+            // still in sync: say why and keep the connection.
+            Err(proto::ProtoError::FrameTooLarge { len, max }) => {
+                let reply = Response::Error(WireError::Internal {
+                    detail: format!(
+                        "reply of {len} bytes exceeds the {max}-byte frame cap; use find_limit"
+                    ),
+                });
+                if reply
+                    .write_frame(&mut &*conn, options.max_frame_len)
+                    .is_err()
+                {
+                    return;
+                }
+            }
+            Err(_) => return,
         }
     }
 }
@@ -471,14 +487,15 @@ fn handle_request<I: StaticIndex + Sync>(
     response
 }
 
-/// The backpressure decision: `Some(Busy)` when the queues the request
-/// would ride are already at the shed threshold.
+/// The backpressure decision: `Some(Busy)` when the queue a write would
+/// contend with is already at the shed threshold.
 ///
 /// Writes gate on *their* shard's queue (depth there means its worker —
-/// which shares the shard's write lock via maintenance — is behind);
-/// fan-out queries gate on the *deepest* queue, because a fan-out waits
-/// on its slowest shard. `Stats` and `Health` always pass: under
-/// overload they are the requests an operator needs answered.
+/// which shares the shard's write lock via maintenance — is behind).
+/// Reads always pass: they ride no queue, and the connection cap at
+/// accept already bounds how many run at once. `Stats` and `Health`
+/// always pass: under overload they are the requests an operator needs
+/// answered.
 fn shed_verdict<I: StaticIndex + Sync>(
     store: &ShardedStore<I>,
     options: &ServeOptions,
@@ -494,14 +511,11 @@ fn shed_verdict<I: StaticIndex + Sync>(
                 queued: depth as u64,
             })
         }
-        Request::Count { .. } | Request::Find { .. } | Request::FindLimit { .. } => {
-            let depth = store.max_queue_depth();
-            (depth >= threshold).then_some(Response::Busy {
-                shard: None,
-                queued: depth as u64,
-            })
-        }
-        Request::Stats | Request::Health => None,
+        Request::Count { .. }
+        | Request::Find { .. }
+        | Request::FindLimit { .. }
+        | Request::Stats
+        | Request::Health => None,
     }
 }
 

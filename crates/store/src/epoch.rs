@@ -29,7 +29,7 @@
 //!
 //! Slots are registered once per thread (`thread_local!`) and recycled
 //! through a free list when the thread exits, so churning threads (soak
-//! tests, scoped fan-outs) do not grow the registry without bound.
+//! tests, scoped writer batches) do not grow the registry without bound.
 
 use dyndex_obs::{FlightRecorder, Span, SpanKind};
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};

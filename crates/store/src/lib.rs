@@ -5,8 +5,8 @@
 //!
 //! The transformations (`dyndex-core`) dynamize a single collection behind
 //! a single-threaded API. Production traffic wants more: concurrent
-//! readers, parallel query fan-out without per-query thread setup, batched
-//! writes, and rebuild work kept off the query path. [`ShardedStore`]
+//! readers that never wait on writers, batched writes, and rebuild work
+//! kept off the query path. [`ShardedStore`]
 //! provides exactly that layer:
 //!
 //! * **Routing** — documents hash-route by id across `N` shards, each an
@@ -18,30 +18,27 @@
 //!   view with one atomic op and never acquire the shard lock, so readers
 //!   proceed even while a writer holds a shard — and keep answering from
 //!   the last published view if a writer panics ([`ShardPoisoned`]).
-//! * **Fan-out** — [`ShardedStore::count`] / [`ShardedStore::find`] query
-//!   every shard's view in parallel and merge deterministically
+//! * **One read path** — [`ShardedStore::count`] / [`ShardedStore::find`]
+//!   / [`ShardedStore::find_limit`] visit every shard's view in shard
+//!   order *on the calling thread* and merge deterministically
 //!   (occurrences sorted by `(doc, offset)`), so a sharded store answers
-//!   byte-identically to an unsharded index over the same documents. By
-//!   default ([`FanOutPolicy::Pooled`]) each shard's work is submitted as
-//!   a closure-plus-reply-channel to that shard's *resident worker* — one
-//!   channel send instead of one thread spawn per shard per query, which
-//!   is what lets µs-scale queries keep the paper's bounds in practice.
-//!   [`FanOutPolicy::ScopedSpawn`] keeps the spawn-per-query model for
-//!   comparison.
+//!   byte-identically to an unsharded index over the same documents. A
+//!   query is a pure function of immutable views: there is no queue, no
+//!   hand-off and no policy between the caller and the index.
 //! * **Batching** — [`ShardedStore::insert_batch`] /
 //!   [`ShardedStore::delete_batch`] group documents by shard and apply
 //!   each shard's group on its own thread, one lock acquisition per shard.
 //! * **Bulk ingestion** — [`ShardedStore::ingest`] streams a corpus
 //!   through the static-construction fast path: documents route by
 //!   shard, cut into bounded chunks, SA-IS-build directly into static
-//!   bulk levels off the shard lock (on the resident workers when
-//!   pooled), and install through the normal epoch-publish path —
+//!   bulk levels off the shard lock (on the resident workers when a
+//!   pool exists), and install through the normal epoch-publish path —
 //!   skipping the `C0` buffer and every cascade merge, while queries
 //!   keep answering from published views throughout.
 //! * **Maintenance** — Transformation 2 rebuilds sub-collections on
 //!   background jobs that must be *installed* by someone holding the
-//!   index. The same resident workers drain their shard's finished jobs
-//!   between requests with `try_write` (never stalling queries), so
+//!   index. One resident worker per shard drains its shard's finished
+//!   jobs on an idle tick with `try_write` (never stalling queries), so
 //!   installs stop riding on foreground operations — no separate
 //!   scheduler thread. Under [`MaintenancePolicy::Manual`] no threads
 //!   exist at all and installs are driven by the caller.
@@ -51,17 +48,17 @@
 //!   ([`LevelStats`](dyndex_core::LevelStats)); [`StoreStats`] implements
 //!   `Display` as a one-line dashboard.
 //! * **Quiescing** — [`ShardedStore::flush`] drains every worker's
-//!   request queue, then holds every shard at once and installs all
+//!   job queue, then holds every shard at once and installs all
 //!   background work, yielding the settled state that snapshots
 //!   (`dyndex-persist`) and deterministic tests build on.
 //!
 //! The full-stack walk-through — layer diagram, the life of a query and
-//! an insert through the pool, the rebuild lifecycle, crash recovery —
+//! an insert, the rebuild lifecycle, crash recovery —
 //! lives in `docs/ARCHITECTURE.md` at the repository root.
 //!
 //! ```
 //! use dyndex_core::{DynOptions, RebuildMode, FmConfig};
-//! use dyndex_store::{FanOutPolicy, MaintenancePolicy, ShardedStore, StoreOptions, Telemetry};
+//! use dyndex_store::{MaintenancePolicy, ShardedStore, StoreOptions, Telemetry};
 //! use dyndex_text::FmIndexCompressed;
 //! use std::time::Duration;
 //!
@@ -71,7 +68,6 @@
 //!         num_shards: 4,
 //!         mode: RebuildMode::Background,
 //!         maintenance: MaintenancePolicy::Periodic(Duration::from_micros(500)),
-//!         fan_out: FanOutPolicy::Pooled, // the default: resident workers
 //!         index: DynOptions::default(),
 //!         telemetry: Telemetry::Enabled, // the default: private registry
 //!         ..StoreOptions::default()      // health watchdog thresholds, no admin listener
@@ -86,7 +82,7 @@
 //! assert!(hits.windows(2).all(|w| w[0] <= w[1]), "merge is sorted");
 //! store.delete(1).unwrap();
 //! assert_eq!(store.count(b"dynamic"), 1);
-//! store.flush(); // drain request queues + install all rebuilds
+//! store.flush(); // drain worker queues + install all rebuilds
 //! ```
 
 mod epoch;
@@ -100,17 +96,17 @@ mod telemetry;
 pub use health::HealthOptions;
 pub use shard::{ShardGuard, ShardPoisoned};
 pub use stats::{ShardStats, StoreStats};
-pub use store::{FanOutPolicy, IngestStats, MaintenancePolicy, ShardedStore, StoreOptions};
+pub use store::{IngestStats, MaintenancePolicy, ShardedStore, StoreOptions};
 pub use telemetry::Telemetry;
 
 // Telemetry vocabulary types, re-exported so store users need not name
 // `dyndex-obs` directly: the registry handle [`ShardedStore::metrics`]
-// returns, the span types [`ShardedStore::recent_spans`] and
-// [`ShardedStore::flight_spans`] yield, and the health report
-// [`ShardedStore::health`] folds its detector findings into.
+// returns, the span types [`ShardedStore::flight_spans`] yields, and
+// the health report [`ShardedStore::health`] folds its detector
+// findings into.
 pub use dyndex_obs::{
-    AdminServer, FlightRecorder, HealthReason, HealthReport, HealthStatus, MetricsRegistry,
-    QueryKind, QuerySpan, Span, SpanKind,
+    AdminServer, FlightRecorder, HealthReason, HealthReport, HealthStatus, MetricsRegistry, Span,
+    SpanKind,
 };
 
 #[doc(hidden)]

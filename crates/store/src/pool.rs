@@ -1,20 +1,23 @@
 //! The resident per-shard worker pool: one long-lived thread pinned to
-//! each shard, serving query jobs from an MPSC request queue and draining
-//! the shard's finished rebuild jobs between requests.
+//! each shard, running queued background jobs and draining the shard's
+//! finished rebuild jobs between them.
 //!
-//! `fig4_sharding` showed that spawning a scoped thread per shard per
-//! query dominates µs-scale queries — the thread setup costs more than
-//! the per-shard work it carries. The pool amortizes that setup once at
-//! store construction: queries are submitted as boxed closures plus a
-//! reply channel ([`WorkerPool::submit`]), executed on the shard's
-//! resident worker, and merged by the caller exactly as before.
+//! Reads never come here: a query is a pure function of the shards'
+//! published views and runs on the calling thread. What the workers are
+//! needed for is work that must not ride on a foreground operation:
 //!
-//! The pool also absorbs the old periodic maintenance scheduler: when a
-//! worker's queue has been idle for one maintenance tick it polls its
-//! shard with `try_write` and installs any finished background rebuild
-//! jobs — so installs stay off the foreground path without a separate
-//! scheduler thread, and a shard busy serving readers or a writer is
-//! simply skipped until the next tick, never contended.
+//! - **Idle-tick installs.** When a tick has elapsed since its last
+//!   drain a worker polls its shard with `try_write` and installs any
+//!   finished background rebuild jobs — installs stay off the foreground
+//!   path without a separate scheduler thread, and a shard busy with a
+//!   writer is skipped until the next tick, never contended.
+//! - **Queued jobs** ([`WorkerPool::submit`]): bulk-ingest chunk builds,
+//!   snapshot level serialization, and whatever else arrives through
+//!   `ShardedStore::submit_background_job`, as boxed closures that send
+//!   their result through a captured reply channel.
+//! - **Gauges and heartbeat** ([`WorkerGauges`]): queue depth and busy
+//!   flags for the census and the serving layer's write-shed gate, plus
+//!   the liveness stamps the health watchdog reads.
 
 use crate::shard::ShardSlot;
 use dyndex_core::StaticIndex;
@@ -25,9 +28,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A unit of work for one shard's worker: a closure run against the
-/// shard's slot. Query jobs load the shard's published view inside the
-/// closure — no lock — and send their answer through a captured reply
-/// channel.
+/// shard's slot, sending its result through a captured reply channel.
 pub(crate) type Job<I> = Box<dyn FnOnce(&ShardSlot<I>) + Send>;
 
 /// Live per-worker gauges, shared with [`crate::StoreStats`] and the
@@ -233,7 +234,7 @@ fn worker_loop<I: StaticIndex + Sync>(
                 // contain anything that slips through.
                 let survived =
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(slot))).is_ok();
-                debug_assert!(survived, "query job leaked a panic past its reply channel");
+                debug_assert!(survived, "job leaked a panic past its reply channel");
                 gauges.busy_since.store(0, Ordering::Relaxed);
                 gauges.busy.store(false, Ordering::Relaxed);
             }

@@ -15,9 +15,10 @@ pub struct ShardStats {
     /// Background jobs currently in flight (rebuilds + top maintenance) —
     /// the shard's pending-work depth.
     pub pending_jobs: usize,
-    /// Query requests waiting in this shard's worker queue, excluding
-    /// one currently executing — see [`ShardStats::worker_busy`] (0 when
-    /// no worker pool exists — see [`FanOutPolicy`](crate::FanOutPolicy)).
+    /// Jobs waiting in this shard's worker queue (ingest builds, snapshot
+    /// serialization — never reads), excluding one currently executing —
+    /// see [`ShardStats::worker_busy`] (0 when no worker pool exists —
+    /// see [`MaintenancePolicy`](crate::MaintenancePolicy)).
     pub queued_requests: usize,
     /// Whether this shard's resident worker was executing a request at
     /// census time (`false` when no pool exists).

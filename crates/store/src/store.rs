@@ -1,18 +1,17 @@
-//! [`ShardedStore`]: hash-routed shards of [`Transform2Index`], query
-//! fan-out over a resident per-shard worker pool with deterministic
-//! merge, batched writes, and background maintenance folded into the
-//! same workers.
+//! [`ShardedStore`]: hash-routed shards of [`Transform2Index`], reads
+//! answered on the calling thread from the shards' published views with
+//! a deterministic merge, batched writes, and background maintenance on
+//! a resident per-shard worker pool.
 
 use crate::health::{HealthOptions, HealthState};
 use crate::pool::WorkerPool;
 use crate::shard::{ShardGuard, ShardPoisoned, ShardSlot};
 use crate::stats::{ShardStats, StoreStats};
-use crate::telemetry::{FanOutProbe, ShardProbe, StoreTelemetry, Telemetry};
+use crate::telemetry::{StoreTelemetry, Telemetry};
 use dyndex_core::transform2::FrozenSnapshot;
 use dyndex_core::{DynOptions, LevelBuilder, RebuildMode, ShardView, StaticIndex, Transform2Index};
 use dyndex_obs::{
-    AdminResponse, AdminServer, FlightRecorder, HealthReport, MetricsRegistry, QueryKind,
-    QuerySpan, Span, SpanKind,
+    AdminResponse, AdminServer, FlightRecorder, HealthReport, MetricsRegistry, Span, SpanKind,
 };
 use dyndex_succinct::SpaceUsage;
 use dyndex_text::Occurrence;
@@ -28,43 +27,17 @@ pub enum MaintenancePolicy {
     /// No worker threads at all. Finished jobs install when a foreground
     /// operation touches the shard, or when the caller runs
     /// [`ShardedStore::maintain`] / [`ShardedStore::finish_background_work`].
-    /// Queries fan out on scoped threads regardless of
-    /// [`FanOutPolicy`] — the fully deterministic, zero-thread mode that
-    /// tests and snapshots build on.
+    /// Bulk-ingest chunk builds and snapshot serialization run inline on
+    /// the calling thread — the fully deterministic, zero-thread mode
+    /// that tests build on.
     Manual,
-    /// One resident worker per shard. Each worker serves that shard's
-    /// query requests and, whenever this interval has elapsed since its
-    /// last drain, installs finished rebuild jobs off the query path
-    /// (busy shards are skipped via `try_write`, never contended).
+    /// One resident worker per shard. Each worker runs that shard's
+    /// queued jobs (bulk-ingest chunk builds, snapshot serialization)
+    /// and, whenever this interval has elapsed since its last drain,
+    /// installs finished rebuild jobs off the foreground path (busy
+    /// shards are skipped via `try_write`, never contended). Reads never
+    /// use the workers: they run on the calling thread either way.
     Periodic(Duration),
-}
-
-/// How multi-shard queries ([`ShardedStore::count`] /
-/// [`ShardedStore::find`] / [`ShardedStore::find_limit`] /
-/// [`ShardedStore::stats`]) execute across shards.
-///
-/// # Examples
-///
-/// ```
-/// use dyndex_store::{FanOutPolicy, StoreOptions};
-///
-/// // Pooled is the default: resident workers, no per-query spawns.
-/// assert_eq!(StoreOptions::default().fan_out, FanOutPolicy::Pooled);
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FanOutPolicy {
-    /// Submit each shard's work to that shard's resident worker
-    /// (requires the pool, i.e. [`MaintenancePolicy::Periodic`]): one
-    /// channel send instead of one thread spawn per shard per query.
-    /// Under [`MaintenancePolicy::Manual`] no workers exist, so this
-    /// falls back to [`FanOutPolicy::ScopedSpawn`] — see
-    /// [`ShardedStore::fan_out_policy`] for the effective policy.
-    #[default]
-    Pooled,
-    /// Spawn one scoped thread per shard per query (the pre-pool
-    /// execution model, kept for comparison benchmarks and as the
-    /// zero-resident-thread fallback).
-    ScopedSpawn,
 }
 
 /// Tunables for a [`ShardedStore`].
@@ -72,13 +45,12 @@ pub enum FanOutPolicy {
 /// # Examples
 ///
 /// ```
-/// use dyndex_store::{FanOutPolicy, MaintenancePolicy, StoreOptions};
+/// use dyndex_store::{MaintenancePolicy, StoreOptions};
 /// use std::time::Duration;
 ///
 /// let options = StoreOptions {
 ///     num_shards: 8,
 ///     maintenance: MaintenancePolicy::Periodic(Duration::from_micros(500)),
-///     fan_out: FanOutPolicy::Pooled,
 ///     ..StoreOptions::default()
 /// };
 /// assert_eq!(options.num_shards, 8);
@@ -86,7 +58,7 @@ pub enum FanOutPolicy {
 #[derive(Clone, Debug)]
 pub struct StoreOptions {
     /// Number of shards (≥ 1). More shards mean more write parallelism
-    /// and smaller rebuilds, at O(num_shards) fan-out cost per query.
+    /// and smaller rebuilds, at O(num_shards) view visits per query.
     pub num_shards: usize,
     /// Options forwarded to every shard's [`Transform2Index`].
     pub index: DynOptions,
@@ -95,8 +67,6 @@ pub struct StoreOptions {
     /// Background maintenance driving policy (also decides whether the
     /// worker pool exists at all — see [`MaintenancePolicy`]).
     pub maintenance: MaintenancePolicy,
-    /// Multi-shard query execution model.
-    pub fan_out: FanOutPolicy,
     /// Telemetry policy: record into a fresh registry (default), a
     /// shared one, or nothing at all — see [`Telemetry`].
     pub telemetry: Telemetry,
@@ -125,7 +95,6 @@ impl Default for StoreOptions {
             index: DynOptions::default(),
             mode: RebuildMode::Background,
             maintenance: MaintenancePolicy::Periodic(Duration::from_millis(1)),
-            fan_out: FanOutPolicy::Pooled,
             telemetry: Telemetry::default(),
             health: HealthOptions::default(),
             admin: None,
@@ -166,18 +135,16 @@ pub fn fresh_uid() -> u64 {
 /// query loads the current view with one atomic op and never touches
 /// the shard lock, so readers cannot contend with writers (and keep
 /// answering even after a writer panic — see [`ShardPoisoned`]).
-/// Multi-shard queries execute on a resident per-shard worker pool by
-/// default ([`FanOutPolicy`]); the same workers install background
-/// rebuilds between requests. See the crate docs for the layer's design
+/// Multi-shard queries visit the views one after the other on the
+/// calling thread; the resident per-shard workers install background
+/// rebuilds and run ingest builds and snapshot serialization, never
+/// reads. See the crate docs for the layer's design
 /// and `docs/ARCHITECTURE.md` (repo root) for the full stack
 /// walk-through.
 pub struct ShardedStore<I: StaticIndex + Sync> {
     shards: Arc<Vec<ShardSlot<I>>>,
     /// Resident workers; `None` under [`MaintenancePolicy::Manual`].
     pool: Option<WorkerPool<I>>,
-    /// Whether multi-shard queries route through the pool (policy is
-    /// [`FanOutPolicy::Pooled`] *and* the pool exists).
-    pooled_queries: bool,
     /// Whether a background snapshot currently has serialization work
     /// queued or running (set by the persistence layer; surfaced in
     /// [`StoreStats`]).
@@ -308,7 +275,7 @@ impl IngestProgress {
 /// The per-chunk work unit of bulk ingestion: SA-IS-build one routed
 /// batch into a static level *off the shard lock*, then take the lock
 /// only to install it (and republish the view on drop). Runs on the
-/// shard's resident worker under [`FanOutPolicy::Pooled`] stores, or
+/// shard's resident worker under [`MaintenancePolicy::Periodic`], or
 /// inline on the ingesting thread under [`MaintenancePolicy::Manual`].
 fn build_install_chunk<I: StaticIndex + Sync>(
     slot: &ShardSlot<I>,
@@ -360,7 +327,6 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
         Self::with_shards(
             indexes,
             options.maintenance,
-            options.fan_out,
             &options.telemetry,
             options.health.clone(),
             options.admin.as_deref(),
@@ -376,7 +342,6 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
     fn with_shards(
         mut indexes: Vec<Transform2Index<I>>,
         maintenance: MaintenancePolicy,
-        fan_out: FanOutPolicy,
         telemetry: &Telemetry,
         health_options: HealthOptions,
         admin_addr: Option<&str>,
@@ -408,7 +373,6 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
             MaintenancePolicy::Manual => None,
             MaintenancePolicy::Periodic(tick) => Some(WorkerPool::spawn(Arc::clone(&shards), tick)),
         };
-        let pooled_queries = pool.is_some() && fan_out == FanOutPolicy::Pooled;
         let health = Arc::new(HealthState::new(
             Arc::clone(&shards),
             pool.as_ref().map_or_else(Vec::new, WorkerPool::gauges),
@@ -422,7 +386,6 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
         ShardedStore {
             shards,
             pool,
-            pooled_queries,
             snapshot_in_progress: AtomicBool::new(false),
             lineage: AtomicU64::new(fresh_uid()),
             telemetry,
@@ -497,43 +460,18 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
         self.pool.as_ref().map_or(0, WorkerPool::len)
     }
 
-    /// The *effective* fan-out policy: [`FanOutPolicy::Pooled`] only
-    /// when a pool exists to carry the queries, otherwise
-    /// [`FanOutPolicy::ScopedSpawn`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use dyndex_core::FmConfig;
-    /// use dyndex_store::{FanOutPolicy, MaintenancePolicy, ShardedStore, StoreOptions};
-    /// use dyndex_text::FmIndexCompressed;
-    ///
-    /// let manual: ShardedStore<FmIndexCompressed> = ShardedStore::new(
-    ///     FmConfig { sample_rate: 8 },
-    ///     StoreOptions { maintenance: MaintenancePolicy::Manual, ..StoreOptions::default() },
-    /// );
-    /// // Pooled was requested, but Manual maintenance means no workers:
-    /// assert_eq!(manual.fan_out_policy(), FanOutPolicy::ScopedSpawn);
-    /// ```
-    pub fn fan_out_policy(&self) -> FanOutPolicy {
-        if self.pooled_queries {
-            FanOutPolicy::Pooled
-        } else {
-            FanOutPolicy::ScopedSpawn
-        }
-    }
-
     /// The shard `doc_id` routes to (stable for the store's lifetime).
     pub fn shard_of(&self, doc_id: u64) -> usize {
         (route_hash(doc_id) % self.shards.len() as u64) as usize
     }
 
-    /// Requests currently waiting in `shard`'s worker queue, counting the
-    /// in-flight request as one. Zero when no pool exists
+    /// Jobs currently waiting in `shard`'s worker queue (ingest chunk
+    /// builds, snapshot serialization — never reads), counting the
+    /// in-flight job as one. Zero when no pool exists
     /// ([`MaintenancePolicy::Manual`]) — with no queue there is nothing
     /// to back up behind. This is the live gauge the serving layer's
-    /// shed decision reads; [`StoreStats`] reports the same numbers as a
-    /// point-in-time census.
+    /// write-shed decision reads; [`StoreStats`] reports the same numbers
+    /// as a point-in-time census.
     pub fn shard_queue_depth(&self, shard: usize) -> usize {
         self.pool.as_ref().map_or(0, |p| {
             let (queued, busy) = p.shard_gauges(shard);
@@ -542,9 +480,7 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
     }
 
     /// The deepest worker queue across all shards (see
-    /// [`ShardedStore::shard_queue_depth`]). A fan-out query waits on
-    /// its slowest shard, so this is the depth that bounds its queue
-    /// wait.
+    /// [`ShardedStore::shard_queue_depth`]).
     pub fn max_queue_depth(&self) -> usize {
         (0..self.shards.len())
             .map(|s| self.shard_queue_depth(s))
@@ -579,221 +515,67 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
         self.shards[s].write()
     }
 
-    /// Whether multi-shard queries should route through the pool. A
-    /// 1-shard store never does: there is no fan-out to amortize, and
-    /// the direct read is cheaper than a queue round-trip.
-    fn use_pool(&self) -> bool {
-        self.pooled_queries && self.shards.len() > 1
-    }
-
-    /// Starts one query's trace, when telemetry is on: the wall-clock
-    /// instant for the latency histogram plus the flight root span's id
-    /// and start stamp (handed to fan-out workers for their child spans).
-    fn begin_query(&self) -> Option<(Instant, u64, u64)> {
-        self.telemetry.as_ref().map(|t| {
-            let (root, start_nanos) = t.begin_query_span();
-            (Instant::now(), root, start_nanos)
-        })
-    }
-
-    /// Local fan-out for when [`ShardedStore::use_pool`] is false: the
-    /// single-shard direct query, or one scoped thread per shard — each
-    /// against the shard's published view, never the lock. Takes `f` by
-    /// reference, so query closures can borrow their pattern — callers
-    /// only pay an owned pattern on the pooled path, where the job
-    /// outlives the caller's stack frame. With telemetry on, each thread
-    /// times its own execution (queue wait is definitionally zero here:
-    /// threads start executing at spawn) and records its shard-execute
-    /// flight span as a child of `root` (the query's flight span id).
-    fn fan_out_scoped<T, F>(&self, f: &F, root: u64) -> (Vec<T>, FanOutProbe)
-    where
-        T: Send,
-        F: Fn(&ShardView<I>) -> T + Sync,
-    {
-        let telemetry = self.telemetry.as_deref();
-        let run = |shard: usize, slot: &ShardSlot<I>| -> (T, Option<ShardProbe>) {
+    /// The only read path, shared by [`ShardedStore::count`],
+    /// [`ShardedStore::find`] and [`ShardedStore::find_limit`]: visits
+    /// the shards in order **on the calling thread**, folding each
+    /// published view's answer into `R` with `per_view`, then `merge`s
+    /// (returning the result count for the root span). A read takes no
+    /// lock and enters no worker queue, so it proceeds while a writer
+    /// holds — or has poisoned — a shard, and a panic inside `per_view`
+    /// unwinds straight into the caller. With telemetry on, each visit
+    /// records its `query_execute` stripe and a shard-execute flight span
+    /// under the query's root.
+    fn query_views<R: Default>(
+        &self,
+        kind: SpanKind,
+        per_view: impl Fn(&ShardView<I>, &mut R),
+        merge: impl FnOnce(&mut R) -> usize,
+    ) -> R {
+        let mut out = R::default();
+        let Some(t) = self.telemetry.as_deref() else {
+            for slot in self.shards.iter() {
+                per_view(&slot.view(), &mut out);
+            }
+            merge(&mut out);
+            return out;
+        };
+        let root = t.flight.next_span_id();
+        let start_nanos = t.flight.now_nanos();
+        let (mut epoch_lo, mut epoch_hi) = (u64::MAX, 0);
+        for (shard, slot) in self.shards.iter().enumerate() {
+            let shard_start = t.flight.now_nanos();
             let view = slot.view();
-            match telemetry {
-                Some(t) => {
-                    let start_nanos = t.flight.now_nanos();
-                    let start = Instant::now();
-                    let out = f(&view);
-                    let execute_nanos = start.elapsed().as_nanos() as u64;
-                    t.query_execute.record_at(shard, execute_nanos);
-                    let epoch = view.epoch();
-                    t.flight.record_at(
-                        shard,
-                        Span {
-                            shard: Some(shard),
-                            start_nanos,
-                            duration_nanos: execute_nanos,
-                            epoch_lo: epoch,
-                            epoch_hi: epoch,
-                            ..Span::child(root, SpanKind::ShardExecute)
-                        },
-                    );
-                    (
-                        out,
-                        Some(ShardProbe {
-                            queue_nanos: 0,
-                            execute_nanos,
-                            epoch,
-                        }),
-                    )
-                }
-                None => (f(&view), None),
-            }
-        };
-        let results: Vec<(T, Option<ShardProbe>)> = if self.shards.len() == 1 {
-            vec![run(0, &self.shards[0])]
-        } else {
-            std::thread::scope(|scope| {
-                let run = &run;
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .enumerate()
-                    .map(|(shard, slot)| scope.spawn(move || run(shard, slot)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard query thread panicked"))
-                    .collect()
-            })
-        };
-        let mut probe = FanOutProbe::default();
-        let mut answers = Vec::with_capacity(results.len());
-        for (value, shard_probe) in results {
-            if let Some(p) = shard_probe {
-                probe.absorb(p);
-            }
-            answers.push(value);
+            per_view(&view, &mut out);
+            let execute_nanos = t.flight.now_nanos() - shard_start;
+            t.query_execute.record_at(shard, execute_nanos);
+            let epoch = view.epoch();
+            epoch_lo = epoch_lo.min(epoch);
+            epoch_hi = epoch_hi.max(epoch);
+            t.flight.record_at(
+                shard,
+                Span {
+                    shard: Some(shard),
+                    start_nanos: shard_start,
+                    duration_nanos: execute_nanos,
+                    epoch_lo: epoch,
+                    epoch_hi: epoch,
+                    ..Span::child(root, SpanKind::ShardExecute)
+                },
+            );
         }
-        (answers, probe)
-    }
-
-    /// Pooled fan-out (only called when [`ShardedStore::use_pool`]):
-    /// submit one job per shard to its resident worker, each carrying a
-    /// reply channel, then collect in shard order. Jobs query the
-    /// shard's *published view*, so queued queries proceed even while a
-    /// writer holds — or has poisoned — the shard lock. A panic inside
-    /// `f` is caught on the worker — which stays alive and keeps serving
-    /// its queue — shipped back through the reply channel, and re-raised
-    /// **on the caller**, so a failure surfaces exactly where it would
-    /// with scoped threads while the store stays usable for every shard.
-    /// With telemetry on, each worker records queue-wait and
-    /// shard-execute flight spans as children of `root`.
-    fn fan_out_pooled<T, F>(&self, f: F, root: u64) -> (Vec<T>, FanOutProbe)
-    where
-        T: Send + 'static,
-        F: Fn(&ShardView<I>) -> T + Send + Sync + 'static,
-    {
-        let pool = self.pool.as_ref().expect("use_pool checked by caller");
-        let route_start = self.telemetry.as_ref().map(|_| Instant::now());
-        let f = Arc::new(f);
-        type Reply<T> = std::thread::Result<(T, Option<ShardProbe>)>;
-        let receivers: Vec<mpsc::Receiver<Reply<T>>> = (0..self.shards.len())
-            .map(|shard| {
-                let f = Arc::clone(&f);
-                let telemetry = self.telemetry.clone();
-                let (reply, rx) = mpsc::channel();
-                // Queue wait is measured from the submit instant to the
-                // worker picking the job up; both per-shard latencies are
-                // recorded *on the worker*, onto that shard's histogram
-                // stripe, keeping the caller's merge path clean.
-                let submitted = telemetry
-                    .as_ref()
-                    .map(|t| (Instant::now(), t.flight.now_nanos()));
-                pool.submit(
-                    shard,
-                    Box::new(move |slot: &ShardSlot<I>| {
-                        let result =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                match (&telemetry, submitted) {
-                                    (Some(t), Some((submitted, submit_nanos))) => {
-                                        let queue_nanos = submitted.elapsed().as_nanos() as u64;
-                                        let view = slot.view();
-                                        let exec_start = Instant::now();
-                                        let out = f(&view);
-                                        let execute_nanos = exec_start.elapsed().as_nanos() as u64;
-                                        t.query_queue_wait.record_at(shard, queue_nanos);
-                                        t.query_execute.record_at(shard, execute_nanos);
-                                        let epoch = view.epoch();
-                                        t.flight.record_at(
-                                            shard,
-                                            Span {
-                                                shard: Some(shard),
-                                                start_nanos: submit_nanos,
-                                                duration_nanos: queue_nanos,
-                                                ..Span::child(root, SpanKind::QueueWait)
-                                            },
-                                        );
-                                        t.flight.record_at(
-                                            shard,
-                                            Span {
-                                                shard: Some(shard),
-                                                start_nanos: submit_nanos + queue_nanos,
-                                                duration_nanos: execute_nanos,
-                                                epoch_lo: epoch,
-                                                epoch_hi: epoch,
-                                                ..Span::child(root, SpanKind::ShardExecute)
-                                            },
-                                        );
-                                        (
-                                            out,
-                                            Some(ShardProbe {
-                                                queue_nanos,
-                                                execute_nanos,
-                                                epoch,
-                                            }),
-                                        )
-                                    }
-                                    _ => (f(&slot.view()), None),
-                                }
-                            }));
-                        let _ = reply.send(result);
-                    }),
-                );
-                rx
-            })
-            .collect();
-        let mut probe = FanOutProbe {
-            route_nanos: route_start.map_or(0, |s| s.elapsed().as_nanos() as u64),
-            ..FanOutProbe::default()
-        };
-        // Collect every shard's reply before propagating any failure, so
-        // one poisoned shard cannot leave another shard's job orphaned
-        // mid-merge.
-        let mut answers = Vec::with_capacity(receivers.len());
-        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-        let mut lost = false;
-        for rx in receivers {
-            match rx.recv() {
-                Ok(Ok((value, shard_probe))) => {
-                    if let Some(p) = shard_probe {
-                        probe.absorb(p);
-                    }
-                    answers.push(Some(value));
-                }
-                Ok(Err(payload)) => {
-                    panic.get_or_insert(payload);
-                    answers.push(None);
-                }
-                Err(_) => {
-                    lost = true;
-                    answers.push(None);
-                }
-            }
-        }
-        if let Some(payload) = panic {
-            std::panic::resume_unwind(payload);
-        }
-        assert!(!lost, "shard worker exited without answering a query");
-        let answers = answers
-            .into_iter()
-            .map(|a| a.expect("every reply collected above"))
-            .collect();
-        (answers, probe)
+        let results = merge(&mut out);
+        let total_nanos = t.flight.now_nanos() - start_nanos;
+        t.query_duration.record(total_nanos);
+        t.queries.inc();
+        t.flight.finish_root(Span {
+            start_nanos,
+            duration_nanos: total_nanos,
+            epoch_lo,
+            epoch_hi,
+            detail: results as u64,
+            ..Span::root(root, kind)
+        });
+        out
     }
 
     // ------------------------------------------------------------------
@@ -801,7 +583,7 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
     // ------------------------------------------------------------------
 
     /// Inserts a document into its shard (direct write-lock path — the
-    /// worker pool carries only query fan-out). On success the shard's
+    /// worker pool is not involved). On success the shard's
     /// view is republished, so the document is immediately visible to
     /// the lock-free read path.
     ///
@@ -1016,7 +798,7 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
     /// document would otherwise pay on its way down the level cascade —
     /// the `fig9_ingest` bench measures the speedup.
     ///
-    /// On a pooled store ([`MaintenancePolicy::Periodic`]) chunk builds
+    /// With a worker pool ([`MaintenancePolicy::Periodic`]) chunk builds
     /// run on the shards' resident workers, so different shards build in
     /// parallel while the caller keeps routing; under
     /// [`MaintenancePolicy::Manual`] builds run inline on the calling
@@ -1294,7 +1076,7 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
     // ------------------------------------------------------------------
 
     /// Whether `doc_id` is present, per the owning shard's published
-    /// view (no fan-out, no lock; see [`ShardedStore::insert`] for an
+    /// view (one shard, no lock; see [`ShardedStore::insert`] for an
     /// example).
     pub fn contains(&self, doc_id: u64) -> bool {
         self.shards[self.shard_of(doc_id)].view().contains(doc_id)
@@ -1312,8 +1094,8 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
         self.shards.iter().map(|s| s.view().symbol_count()).sum()
     }
 
-    /// Counts occurrences of `pattern`, fanning out across shards (on
-    /// the resident workers by default — see [`FanOutPolicy`]).
+    /// Counts occurrences of `pattern`: the sum over every shard's
+    /// published view, computed on the calling thread.
     ///
     /// # Examples
     ///
@@ -1329,34 +1111,17 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
     /// assert_eq!(store.count(b"absent"), 0);
     /// ```
     pub fn count(&self, pattern: &[u8]) -> usize {
-        let trace = self.begin_query();
-        let root = trace.map_or(0, |(_, root, _)| root);
-        let (per_shard, probe) = if self.use_pool() {
-            let pattern = pattern.to_vec();
-            self.fan_out_pooled(move |view| view.count(&pattern), root)
-        } else {
-            self.fan_out_scoped(&|view: &ShardView<I>| view.count(pattern), root)
-        };
-        let total: usize = per_shard.into_iter().sum();
-        if let (Some(t), Some((started, root, start_nanos))) = (&self.telemetry, trace) {
-            t.record_query(
-                QueryKind::Count,
-                started,
-                probe,
-                self.shards.len(),
-                total,
-                root,
-                start_nanos,
-            );
-        }
-        total
+        self.query_views(
+            SpanKind::Count,
+            |view, total: &mut usize| *total += view.count(pattern),
+            |total| *total,
+        )
     }
 
-    /// All occurrences of `pattern`, fanned out across shards and merged
-    /// deterministically: the result is sorted by `(doc, offset)`, so it
-    /// is byte-identical to a sorted unsharded query over the same
-    /// documents regardless of shard count, fan-out policy, or thread
-    /// timing.
+    /// All occurrences of `pattern`, gathered from every shard's view
+    /// and merged deterministically: the result is sorted by
+    /// `(doc, offset)`, so it is byte-identical to a sorted unsharded
+    /// query over the same documents regardless of shard count.
     ///
     /// # Examples
     ///
@@ -1373,41 +1138,25 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
     /// assert!(hits.windows(2).all(|w| w[0] < w[1]), "sorted by (doc, offset)");
     /// ```
     pub fn find(&self, pattern: &[u8]) -> Vec<Occurrence> {
-        let trace = self.begin_query();
-        let root = trace.map_or(0, |(_, root, _)| root);
-        let (per_shard, probe) = if self.use_pool() {
-            let pattern = pattern.to_vec();
-            self.fan_out_pooled(move |view| view.find(&pattern), root)
-        } else {
-            self.fan_out_scoped(&|view: &ShardView<I>| view.find(pattern), root)
-        };
-        let mut merged: Vec<Occurrence> = per_shard.into_iter().flatten().collect();
-        merged.sort_unstable();
-        if let (Some(t), Some((started, root, start_nanos))) = (&self.telemetry, trace) {
-            t.record_query(
-                QueryKind::Find,
-                started,
-                probe,
-                self.shards.len(),
-                merged.len(),
-                root,
-                start_nanos,
-            );
-        }
-        merged
+        self.query_views(
+            SpanKind::Find,
+            |view, hits: &mut Vec<Occurrence>| hits.extend(view.find(pattern)),
+            |hits| {
+                hits.sort_unstable();
+                hits.len()
+            },
+        )
     }
 
     /// Up to `limit` occurrences of `pattern` (sorted). Each shard's work
     /// is capped at `limit` located occurrences
-    /// ([`Transform2Index::find_limit`]), so total fan-out work is
+    /// ([`Transform2Index::find_limit`]), so total work is
     /// `O(num_shards · (range-finding + limit · tlocate))`. Which
     /// occurrences are returned depends on shard-internal layout at query
     /// time: deterministic under [`RebuildMode::Inline`] with manual
     /// maintenance, but with background rebuilds the truncation choice
     /// can vary with install timing (the underlying occurrence set is
-    /// always exact — `limit >= count` returns everything). The fan-out
-    /// policy never affects the answer: pooled and scoped execution are
-    /// byte-identical given the same shard layouts.
+    /// always exact — `limit >= count` returns everything).
     ///
     /// # Examples
     ///
@@ -1423,33 +1172,19 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
     /// assert_eq!(store.find_limit(b"xy", 100).len(), 4); // limit >= count: everything
     /// ```
     pub fn find_limit(&self, pattern: &[u8], limit: usize) -> Vec<Occurrence> {
-        let trace = self.begin_query();
-        let root = trace.map_or(0, |(_, root, _)| root);
-        let (per_shard, probe) = if self.use_pool() {
-            let pattern = pattern.to_vec();
-            self.fan_out_pooled(move |view| view.find_limit(&pattern, limit), root)
-        } else {
-            self.fan_out_scoped(&|view: &ShardView<I>| view.find_limit(pattern, limit), root)
-        };
-        let mut merged: Vec<Occurrence> = per_shard.into_iter().flatten().collect();
-        merged.sort_unstable();
-        merged.truncate(limit);
-        if let (Some(t), Some((started, root, start_nanos))) = (&self.telemetry, trace) {
-            t.record_query(
-                QueryKind::FindLimit,
-                started,
-                probe,
-                self.shards.len(),
-                merged.len(),
-                root,
-                start_nanos,
-            );
-        }
-        merged
+        self.query_views(
+            SpanKind::FindLimit,
+            |view, hits: &mut Vec<Occurrence>| hits.extend(view.find_limit(pattern, limit)),
+            |hits| {
+                hits.sort_unstable();
+                hits.truncate(limit);
+                hits.len()
+            },
+        )
     }
 
     /// Extracts up to `len` bytes of a document from `offset` (per the
-    /// owning shard's published view; no fan-out, no lock).
+    /// owning shard's published view; one shard, no lock).
     ///
     /// # Examples
     ///
@@ -1474,13 +1209,13 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
     // Maintenance & observability
     // ------------------------------------------------------------------
 
-    /// Quiesce point. First drains the worker-pool request queues (every
-    /// query submitted before `flush` began completes), then acquires
+    /// Quiesce point. First drains the worker-pool job queues (every
+    /// job submitted before `flush` began completes), then acquires
     /// every shard's write lock simultaneously (in shard order, so
     /// concurrent flushes cannot deadlock) — which waits out any
     /// in-flight writer batches — and installs all pending background
     /// rebuild work. After `flush` returns the store is settled: no
-    /// queued requests, no jobs in flight, no locked or temp structures.
+    /// queued jobs, no rebuilds in flight, no locked or temp structures.
     /// That is the state snapshots capture and the easiest state to
     /// assert against in tests.
     ///
@@ -1515,24 +1250,11 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
         }
     }
 
-    /// Acquires every shard's write lock in shard order (the persistence
-    /// layer's stop-the-world snapshot hook). Each returned guard
-    /// republishes its shard's view on drop.
+    /// Acquires one shard's write lock (persistence-layer hook). The
+    /// guard republishes the shard's view on drop.
     ///
     /// # Panics
-    /// Panics if any shard is poisoned (snapshotting a shard whose
-    /// writer panicked mid-mutation would capture torn state).
-    #[doc(hidden)]
-    pub fn lock_all_shards(&self) -> Vec<ShardGuard<'_, I>> {
-        self.shards
-            .iter()
-            .map(|s| s.write().expect("shard lock poisoned"))
-            .collect()
-    }
-
-    /// Acquires one shard's write lock (persistence-layer hook; pair
-    /// with [`ShardedStore::lock_all_shards`]). The guard republishes
-    /// the shard's view on drop.
+    /// Panics if the shard is poisoned.
     #[doc(hidden)]
     pub fn lock_shard(&self, shard: usize) -> ShardGuard<'_, I> {
         self.shards[shard].write().expect("shard lock poisoned")
@@ -1553,8 +1275,8 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
             .expect("finish_background_work leaves the shard quiesced")
     }
 
-    /// Enqueues `f` on `shard`'s resident worker, interleaved with that
-    /// shard's query service (the persistence layer runs snapshot
+    /// Enqueues `f` on `shard`'s resident worker, behind whatever that
+    /// worker already has queued (the persistence layer runs snapshot
     /// serialization here). Returns `false` — without running `f` — when
     /// no pool exists ([`MaintenancePolicy::Manual`]); the caller then
     /// runs the work inline.
@@ -1601,7 +1323,7 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
     }
 
     /// Wraps already-built shard indexes (the persistence layer's restore
-    /// path), re-creating the worker pool per `maintenance` + `fan_out`
+    /// path), re-creating the worker pool per `maintenance`
     /// and publishing each shard's initial view — a restored store's
     /// lock-free read path answers from the restored state immediately.
     /// Passing [`Telemetry::Shared`] with the predecessor's registry
@@ -1613,13 +1335,11 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
     pub fn from_shard_indexes(
         indexes: Vec<Transform2Index<I>>,
         maintenance: MaintenancePolicy,
-        fan_out: FanOutPolicy,
         telemetry: &Telemetry,
     ) -> Self {
         Self::with_shards(
             indexes,
             maintenance,
-            fan_out,
             telemetry,
             HealthOptions::default(),
             None,
@@ -1659,7 +1379,7 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
         self.shards.iter().map(|s| s.view().pending_jobs()).sum()
     }
 
-    /// Rebuild jobs installed by the resident workers between requests
+    /// Rebuild jobs installed by the resident workers between jobs
     /// (0 under [`MaintenancePolicy::Manual`]) — how much install work
     /// stayed off the foreground path.
     pub fn pool_installs(&self) -> u64 {
@@ -1854,32 +1574,6 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
             .map_or_else(Vec::new, |t| t.flight.recent())
     }
 
-    /// The most recent query spans (route → queue-wait → shard-execute →
-    /// merge, with the view epochs served from), oldest first. Empty
-    /// under [`Telemetry::Disabled`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use dyndex_core::FmConfig;
-    /// use dyndex_store::{ShardedStore, StoreOptions};
-    /// use dyndex_text::FmIndexCompressed;
-    ///
-    /// let store: ShardedStore<FmIndexCompressed> =
-    ///     ShardedStore::new(FmConfig { sample_rate: 8 }, StoreOptions::default());
-    /// store.insert(1, b"traced needle").unwrap();
-    /// store.count(b"needle");
-    /// let spans = store.recent_spans();
-    /// assert_eq!(spans.len(), 1);
-    /// assert_eq!(spans[0].shards, 4);
-    /// assert!(spans[0].min_epoch >= 1, "served from a published view");
-    /// ```
-    pub fn recent_spans(&self) -> Vec<QuerySpan> {
-        self.telemetry
-            .as_ref()
-            .map_or_else(Vec::new, |t| t.tracer.recent())
-    }
-
     /// Records one finished snapshot generation (persistence-layer hook):
     /// wall-clock duration plus bytes newly written vs reused from the
     /// previous generation. No-op under [`Telemetry::Disabled`].
@@ -1918,7 +1612,6 @@ mod tests {
             },
             mode,
             maintenance: MaintenancePolicy::Manual,
-            fan_out: FanOutPolicy::Pooled,
             telemetry: Telemetry::default(),
             health: HealthOptions::default(),
             admin: None,
@@ -1967,6 +1660,7 @@ mod tests {
     #[test]
     fn matches_naive_reference() {
         let store = Store::new(fm(), small_opts(4, RebuildMode::Inline));
+        assert_eq!(store.worker_threads(), 0, "Manual spawns no workers");
         let mut naive = NaiveIndex::new();
         for (id, d) in docs(40) {
             store.insert(id, &d).unwrap();
@@ -1988,8 +1682,8 @@ mod tests {
 
     #[test]
     fn pooled_fan_out_matches_naive_reference() {
+        // Same answers with the resident workers ticking beside the reads.
         let store = Store::new(fm(), pooled_opts(4, RebuildMode::Inline));
-        assert_eq!(store.fan_out_policy(), FanOutPolicy::Pooled);
         assert_eq!(store.worker_threads(), 4);
         let mut naive = NaiveIndex::new();
         for (id, d) in docs(40) {
@@ -2002,36 +1696,6 @@ mod tests {
         }
         assert_eq!(store.delete(7).unwrap(), naive.delete(7));
         assert_eq!(store.find(b"needle"), naive.find(b"needle"));
-    }
-
-    #[test]
-    fn manual_maintenance_falls_back_to_scoped_spawn() {
-        let store = Store::new(fm(), small_opts(3, RebuildMode::Inline));
-        assert_eq!(store.worker_threads(), 0, "Manual spawns no workers");
-        assert_eq!(store.fan_out_policy(), FanOutPolicy::ScopedSpawn);
-        store.insert_batch(&docs(12)).unwrap();
-        assert_eq!(store.count(b"needle"), 12);
-    }
-
-    #[test]
-    fn explicit_scoped_spawn_keeps_workers_for_maintenance_only() {
-        let store = Store::new(
-            fm(),
-            StoreOptions {
-                fan_out: FanOutPolicy::ScopedSpawn,
-                ..pooled_opts(3, RebuildMode::Background)
-            },
-        );
-        assert_eq!(store.worker_threads(), 3, "workers still run maintenance");
-        assert_eq!(store.fan_out_policy(), FanOutPolicy::ScopedSpawn);
-        store.insert_batch(&docs(120)).unwrap();
-        // Only the workers' between-request drains can install these.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while store.pending_background_jobs() > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(store.pending_background_jobs(), 0, "workers must drain");
-        assert_eq!(store.count(b"needle"), 120);
     }
 
     #[test]
@@ -2068,35 +1732,6 @@ mod tests {
             assert!(capped.windows(2).all(|w| w[0] < w[1]), "sorted, limit {k}");
             for occ in &capped {
                 assert!(all.contains(occ), "phantom occurrence at limit {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_answers_are_byte_identical_to_scoped() {
-        // Same op sequence, Inline rebuilds → identical shard layouts, so
-        // even find_limit truncation must agree byte-for-byte between the
-        // two execution models.
-        let pooled = Store::new(fm(), pooled_opts(4, RebuildMode::Inline));
-        let scoped = Store::new(
-            fm(),
-            StoreOptions {
-                fan_out: FanOutPolicy::ScopedSpawn,
-                ..pooled_opts(4, RebuildMode::Inline)
-            },
-        );
-        let batch = docs(50);
-        pooled.insert_batch(&batch).unwrap();
-        scoped.insert_batch(&batch).unwrap();
-        for pattern in [b"needle".as_slice(), b"pad", b"document 4", b"absent"] {
-            assert_eq!(pooled.count(pattern), scoped.count(pattern));
-            assert_eq!(pooled.find(pattern), scoped.find(pattern));
-            for limit in [0usize, 1, 7, 50, 500] {
-                assert_eq!(
-                    pooled.find_limit(pattern, limit),
-                    scoped.find_limit(pattern, limit),
-                    "find_limit({limit})"
-                );
             }
         }
     }
@@ -2219,7 +1854,9 @@ mod tests {
         store.insert_batch(&docs(20)).unwrap();
         store.flush();
         let want = store.find(b"needle");
-        let mut guards = store.lock_all_shards();
+        let mut guards: Vec<_> = (0..store.num_shards())
+            .map(|s| store.lock_shard(s))
+            .collect();
         let indexes: Vec<_> = guards
             .iter_mut()
             .map(|g| {
@@ -2233,12 +1870,10 @@ mod tests {
         let rebuilt = Store::from_shard_indexes(
             indexes,
             MaintenancePolicy::Periodic(Duration::from_micros(200)),
-            FanOutPolicy::Pooled,
             &Telemetry::default(),
         );
         assert_eq!(rebuilt.num_shards(), 2);
         assert_eq!(rebuilt.worker_threads(), 2, "pool re-created");
-        assert_eq!(rebuilt.fan_out_policy(), FanOutPolicy::Pooled);
         assert_eq!(rebuilt.find(b"needle"), want);
         assert_eq!(store.num_docs(), 0, "shards were moved out");
     }
@@ -2252,7 +1887,7 @@ mod tests {
         assert_eq!(store.count(b"needle"), 10);
         assert!(store.metrics().is_none());
         assert!(store.render_metrics().is_none());
-        assert!(store.recent_spans().is_empty());
+        assert!(store.flight_spans().is_empty());
         assert!(store.stats().query_p99.is_none());
     }
 
@@ -2273,13 +1908,20 @@ mod tests {
             .expect("registered at construction");
         assert_eq!(duration.snapshot().count(), 2);
 
-        let spans = store.recent_spans();
-        assert_eq!(spans.len(), 2, "one span per query");
-        assert!(spans.iter().all(|s| s.shards == 4));
-        assert!(spans.iter().all(|s| s.min_epoch >= 1), "views published");
-        assert_eq!(spans[0].kind, QueryKind::Count);
-        assert_eq!(spans[1].kind, QueryKind::Find);
-        assert_eq!(spans[1].results, 1);
+        let spans = store.flight_spans();
+        let roots: Vec<&Span> = spans
+            .iter()
+            .filter(|s| matches!(s.kind, SpanKind::Count | SpanKind::Find))
+            .collect();
+        assert_eq!(roots.len(), 2, "one root span per query");
+        assert!(roots.iter().all(|s| s.epoch_lo >= 1), "views published");
+        assert_eq!(roots[0].kind, SpanKind::Count);
+        assert_eq!(roots[1].kind, SpanKind::Find);
+        assert_eq!(roots[1].detail, 1, "result count rides in detail");
+        for root in roots {
+            let children = spans.iter().filter(|s| s.parent == root.id);
+            assert_eq!(children.count(), 4, "one execute child per shard");
+        }
 
         let stats = store.stats();
         assert!(stats.query_p99.is_some(), "p99 fed from the histogram");

@@ -11,16 +11,9 @@
 //! series.
 
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use dyndex_core::CoreMetrics;
-use dyndex_obs::{
-    Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, QueryKind, QuerySpan, Span,
-    SpanKind, Tracer, Unit,
-};
-
-/// How many recent query spans the per-store [`Tracer`] retains.
-const TRACE_CAPACITY: usize = 128;
+use dyndex_obs::{Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, Unit};
 
 /// How many spans the per-store [`FlightRecorder`] ring retains across
 /// its stripes.
@@ -58,58 +51,16 @@ pub enum Telemetry {
     Disabled,
 }
 
-/// Per-shard measurements shipped back with each fan-out reply.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ShardProbe {
-    /// Submit-to-pickup wait in the worker's queue (0 on scoped spawns).
-    pub queue_nanos: u64,
-    /// Execution time against the published view.
-    pub execute_nanos: u64,
-    /// The view epoch the shard served from.
-    pub epoch: u64,
-}
-
-/// Aggregated fan-out measurements for one query.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct FanOutProbe {
-    /// Routing + submission time (before any shard picked work up).
-    pub route_nanos: u64,
-    /// Worst shard queue wait.
-    pub queue_nanos: u64,
-    /// Worst shard execution time.
-    pub execute_nanos: u64,
-    /// Smallest view epoch served from.
-    pub min_epoch: u64,
-    /// Largest view epoch served from.
-    pub max_epoch: u64,
-}
-
-impl FanOutProbe {
-    /// Folds one shard's probe into the aggregate.
-    pub(crate) fn absorb(&mut self, probe: ShardProbe) {
-        self.queue_nanos = self.queue_nanos.max(probe.queue_nanos);
-        self.execute_nanos = self.execute_nanos.max(probe.execute_nanos);
-        if self.min_epoch == 0 && self.max_epoch == 0 {
-            self.min_epoch = probe.epoch;
-            self.max_epoch = probe.epoch;
-        } else {
-            self.min_epoch = self.min_epoch.min(probe.epoch);
-            self.max_epoch = self.max_epoch.max(probe.epoch);
-        }
-    }
-}
-
 /// Every handle the store records through, bound once at construction.
-/// Shared (`Arc`) with the fan-out job closures so pool workers record
-/// per-shard latencies themselves, on their own histogram stripes.
+/// Shared (`Arc`) with the ingest job closures so pool workers record
+/// per-shard build latencies themselves, on their own histogram stripes.
 #[derive(Debug)]
 pub(crate) struct StoreTelemetry {
     pub registry: Arc<MetricsRegistry>,
-    /// Per-shard submit-to-pickup queue wait (striped by shard).
-    pub query_queue_wait: Arc<Histogram>,
-    /// Per-shard execution time against the published view.
+    /// Per-shard execution time against the published view (striped by
+    /// shard).
     pub query_execute: Arc<Histogram>,
-    /// End-to-end query latency (route + fan-out + merge).
+    /// End-to-end query latency (every shard's view + merge).
     pub query_duration: Arc<Histogram>,
     /// Queries served (all kinds).
     pub queries: Arc<Counter>,
@@ -142,14 +93,9 @@ pub(crate) struct StoreTelemetry {
     pub epoch_garbage: Arc<Gauge>,
     /// Reclamation passes run (process-global, cumulative).
     pub epoch_passes: Arc<Gauge>,
-    pub tracer: Tracer,
     /// The always-on flight recorder: hierarchical spans for queries and
     /// every kind of background work, shard-striped.
     pub flight: Arc<FlightRecorder>,
-    /// Spans recorded by the tracer, mirrored for exposition.
-    pub trace_recorded: Arc<Counter>,
-    /// Spans the tracer dropped under contention, mirrored for exposition.
-    pub trace_dropped: Arc<Counter>,
     /// Spans recorded by the flight recorder, mirrored for exposition.
     pub flight_recorded: Arc<Counter>,
     /// Poisoning *events* (one per writer panic that poisons a shard) —
@@ -178,10 +124,6 @@ impl StoreTelemetry {
         let c = |name: &str, help: &str, unit: Unit| registry.counter(name, help, unit);
         let flight = Arc::new(FlightRecorder::new(FLIGHT_CAPACITY, shards));
         StoreTelemetry {
-            query_queue_wait: h(
-                "dyndex_store_query_queue_wait",
-                "per-shard wait between fan-out submit and worker pickup",
-            ),
             query_execute: h(
                 "dyndex_store_query_execute",
                 "per-shard query execution time against the published view",
@@ -260,17 +202,6 @@ impl StoreTelemetry {
                 "epoch reclamation passes run (process-global)",
                 Unit::Count,
             ),
-            tracer: Tracer::new(TRACE_CAPACITY),
-            trace_recorded: c(
-                "dyndex_trace_spans_recorded",
-                "query spans recorded by the tracer",
-                Unit::Count,
-            ),
-            trace_dropped: c(
-                "dyndex_trace_spans_dropped",
-                "query spans the tracer dropped under contention",
-                Unit::Count,
-            ),
             flight_recorded: c(
                 "dyndex_flight_spans_recorded",
                 "spans recorded by the flight recorder (all kinds)",
@@ -296,79 +227,16 @@ impl StoreTelemetry {
     }
 
     /// Brings every render-time series up to date: epoch gauges, plus the
-    /// tracer/flight totals mirrored into registry counters (registry
-    /// counters only go up, so the mirror is a delta-add under a gate).
+    /// flight recorder's total mirrored into its registry counter
+    /// (registry counters only go up, so the mirror is a delta-add under
+    /// a gate).
     pub(crate) fn sync_exposition(&self) {
         self.sync_epoch_gauges();
         let _gate = self.sync_gate.lock().unwrap();
-        let lift = |counter: &Counter, live: u64| {
-            let seen = counter.get();
-            if live > seen {
-                counter.add(live - seen);
-            }
-        };
-        lift(&self.trace_recorded, self.tracer.recorded());
-        lift(&self.trace_dropped, self.tracer.dropped());
-        lift(&self.flight_recorded, self.flight.recorded());
-    }
-
-    /// Starts one query's flight root: allocates the span id (handed to
-    /// per-shard child spans through the fan-out) and stamps the start.
-    pub(crate) fn begin_query_span(&self) -> (u64, u64) {
-        (self.flight.next_span_id(), self.flight.now_nanos())
-    }
-
-    /// Records the end of one query: total-latency histogram, query
-    /// counter, a tracer span assembled from the fan-out probe, and the
-    /// flight-recorder root span (children were already recorded by the
-    /// workers under `root`). `started` is the instant captured at query
-    /// entry; merge time is whatever the total doesn't attribute to
-    /// route/queue/execute.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn record_query(
-        &self,
-        kind: QueryKind,
-        started: Instant,
-        probe: FanOutProbe,
-        shards: usize,
-        results: usize,
-        root: u64,
-        start_nanos: u64,
-    ) {
-        let total_nanos = started.elapsed().as_nanos() as u64;
-        self.query_duration.record(total_nanos);
-        self.queries.inc();
-        let merge_nanos = total_nanos
-            .saturating_sub(probe.route_nanos)
-            .saturating_sub(probe.queue_nanos)
-            .saturating_sub(probe.execute_nanos);
-        self.tracer.record(QuerySpan {
-            kind,
-            route_nanos: probe.route_nanos,
-            queue_nanos: probe.queue_nanos,
-            execute_nanos: probe.execute_nanos,
-            merge_nanos,
-            min_epoch: probe.min_epoch,
-            max_epoch: probe.max_epoch,
-            shards,
-            results,
-        });
-        self.flight.finish_root(Span {
-            start_nanos,
-            duration_nanos: total_nanos,
-            epoch_lo: probe.min_epoch,
-            epoch_hi: probe.max_epoch,
-            detail: results as u64,
-            ..Span::root(root, query_span_kind(kind))
-        });
-    }
-}
-
-/// Maps the tracer's [`QueryKind`] onto the flight recorder's root kind.
-pub(crate) fn query_span_kind(kind: QueryKind) -> SpanKind {
-    match kind {
-        QueryKind::Count => SpanKind::Count,
-        QueryKind::Find => SpanKind::Find,
-        QueryKind::FindLimit => SpanKind::FindLimit,
+        let live = self.flight.recorded();
+        let seen = self.flight_recorded.get();
+        if live > seen {
+            self.flight_recorded.add(live - seen);
+        }
     }
 }

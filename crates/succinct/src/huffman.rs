@@ -4,7 +4,7 @@
 //! distribution stores a sequence in `n(H0 + 1) + o(·)` bits and answers
 //! access/rank/select in O(code length) — the practical stand-in for the
 //! `nHk + o(n log σ)` compressed-sequence machinery the paper's static
-//! indexes (\[3\], \[7\], \[14\]) rely on (see DESIGN.md §2, substitutions).
+//! indexes (\[3\], \[7\], \[14\]) rely on.
 
 use crate::bitvec::BitVec;
 use crate::rank_select::RankSelect;

@@ -11,8 +11,8 @@
 //! directory words are non-empty), so the *next* 1-bit after any position is
 //! found in O(levels) = O(log n / log w) word probes — effectively constant.
 //! This replaces the Mortensen–Pagh–Pătraşcu range-reporting structure \[33\]
-//! used by Lemma 2 (see DESIGN.md, substitutions): same role, laptop-scale
-//! constant factors.
+//! used by Lemma 2 — a substitution: same role, laptop-scale constant
+//! factors.
 
 use crate::bits::{low_mask, WORD_BITS};
 use crate::bitvec::BitVec;

@@ -2,7 +2,8 @@
 //!
 //! Every structure in this repository implements [`SpaceUsage`] so the
 //! benchmark harness can report measured bits/symbol next to the paper's
-//! entropy bounds (see `EXPERIMENTS.md`).
+//! entropy bounds (the `index_bytes_per_user_byte` and
+//! `text.fm_bits_per_symbol` rows of `benchmark/README.md`).
 
 /// Reports the number of heap bytes owned by a value (excluding the
 /// shallow size of the value itself, which lives wherever its owner put it).

@@ -12,8 +12,8 @@
 //! The index is generic over the BWT sequence representation:
 //! [`dyndex_succinct::HuffmanWavelet`] gives the `nHk + o(n log σ)` regime
 //! of Tables 1–2; [`dyndex_succinct::WaveletMatrix`] the `O(n log σ)`
-//! regime. Stands in for Belazzougui–Navarro \[7\] / Barbay et al. \[3\]
-//! (see DESIGN.md substitutions).
+//! regime. A substitution: it stands in for Belazzougui–Navarro \[7\] /
+//! Barbay et al. \[3\].
 
 use crate::bwt::{bwt_from_sa, c_array};
 use crate::collection::{ConcatText, Occurrence, SEPARATOR, SIGMA, SYM_OFFSET};

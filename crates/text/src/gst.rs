@@ -493,8 +493,8 @@ impl SuffixTree {
         out
     }
 
-    /// Number of occurrences of `pattern` (O(|P| + occ) by traversal; see
-    /// DESIGN.md — `C0` is tiny so traversal counting is within budget).
+    /// Number of occurrences of `pattern` (O(|P| + occ) by traversal —
+    /// `C0` is tiny, so traversal counting is within budget).
     pub fn count(&self, pattern: &[u8]) -> usize {
         let encoded = crate::collection::encode_pattern(pattern);
         let Some(locus) = self.locus(&encoded) else {

@@ -1,6 +1,6 @@
 //! A plain suffix-array index — the fast, `O(n log σ)`-bit-text static
 //! index plugged into the transformations for the paper's Table 3 regime
-//! (stand-in for Grossi–Vitter \[22\]; see DESIGN.md substitutions).
+//! (a substitution: it stands in for Grossi–Vitter \[22\]).
 //!
 //! Trade-off profile (vs the FM-index):
 //! * `locate` is **O(1)** (`SA[i]` is stored) instead of O(s) LF steps —
@@ -10,7 +10,7 @@
 //! * range-finding is binary search: O(|P| log n);
 //! * space is `n·⌈log σ⌉` bits for the text plus `2n·⌈log n⌉` bits for
 //!   SA/ISA (GV compress these to O(n log σ); we keep them plain and
-//!   report the difference in EXPERIMENTS.md).
+//!   let the `table3_fast` binary report the measured difference).
 
 use crate::collection::{ConcatText, Occurrence, SIGMA, SYM_OFFSET};
 use crate::sais::suffix_array;

@@ -4,9 +4,9 @@
 //!
 //! Demonstrates the `dyndex-store` layer: documents hash-route across
 //! shards (each an independent Transformation-2 index), writes batch by
-//! shard, queries fan out to one resident worker per shard and merge
-//! deterministically, and the same workers install background rebuilds
-//! off the query path between requests.
+//! shard, queries read every shard's published view on the calling
+//! thread and merge deterministically, and one resident worker per shard
+//! installs background rebuilds off the query path.
 
 use dyndex::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -49,7 +49,7 @@ fn main() {
         store.pending_background_jobs()
     );
 
-    println!("\n== parallel fan-out queries (readers on their own threads) ==");
+    println!("\n== parallel queries (readers on their own threads) ==");
     let queries = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         let (store, queries) = (&store, &queries);
@@ -94,15 +94,18 @@ fn main() {
     }
     println!("dashboard: {stats}");
     println!(
-        "workers installed {} job(s) between requests, heap {} bytes",
+        "workers installed {} job(s) off the foreground path, heap {} bytes",
         store.pool_installs(),
         store.heap_bytes()
     );
 
     println!("\n== telemetry: spans, percentiles, text exposition ==");
-    // Telemetry is on by default; every query above left a span in the
-    // tracer and a sample in the latency histograms.
-    for span in store.recent_spans().iter().rev().take(3) {
+    // Telemetry is on by default; every query above left a root span
+    // (kind, duration, epochs, result count) in the flight recorder and
+    // a sample in the latency histograms.
+    let spans = store.flight_spans();
+    // (Only roots that parent children carry an id; here, the queries.)
+    for span in spans.iter().rev().filter(|s| s.id != 0).take(3) {
         println!("span: {span}");
     }
     let registry = store.metrics().expect("telemetry on by default");
@@ -131,8 +134,8 @@ fn main() {
 
     println!("\n== flight recorder, health report, admin endpoint ==");
     // Every query above also left a span tree in the flight recorder:
-    // the query root plus per-shard queue-wait/execute children, each
-    // execute stamped with the view epoch the worker served from.
+    // the query root plus one execute child per shard, each stamped
+    // with the view epoch it was served from.
     let spans = store.flight_spans();
     if let Some(root) = spans.iter().rev().find(|s| s.parent == 0 && s.id != 0) {
         println!("flight span tree for one query:");
@@ -151,9 +154,9 @@ fn main() {
 
     println!("\n== serve the store over TCP ==");
     // The serving layer wraps any ShardedStore behind a binary wire
-    // protocol; requests ride the same worker-pool fan-out as the local
-    // calls above, and overload sheds with typed Busy replies instead
-    // of queueing behind a wedged shard.
+    // protocol; reads run on the connection's handler thread through
+    // the same path as the local calls above, and overload sheds with
+    // typed Busy replies (connections at accept, writes per shard).
     {
         let server: Server<FmIndexCompressed> = Server::create(
             FmConfig { sample_rate: 8 },

@@ -24,19 +24,19 @@
 //! * [`relations`] — compressed dynamic binary relations (Thm 2) and
 //!   directed graphs (Thm 3).
 //! * [`store`] — a sharded, concurrent document store over the dynamic
-//!   indexes: hash routing, query fan-out on a resident per-shard worker
-//!   pool with deterministic merge, batched writes, background
-//!   maintenance folded into the same workers.
+//!   indexes: hash routing, reads answered on the calling thread from
+//!   published views with deterministic merge, batched writes, background
+//!   maintenance on a resident per-shard worker pool.
 //! * [`persist`] — durability for the store: a binary codec for every
 //!   static structure, crash-atomic snapshot/restore, and per-shard
 //!   write-ahead logging (`DurableStore`).
 //! * [`serve`] — the network serving layer: a zero-dependency TCP
 //!   server speaking a length-prefixed, checksummed binary wire
-//!   protocol over the store's worker pool, with queue-depth
-//!   backpressure (`Busy` shedding), typed protocol errors, and a
-//!   blocking `Client` handle.
+//!   protocol over the store, with connection-count admission and
+//!   queue-depth backpressure for writes (`Busy` shedding), typed
+//!   protocol errors, and a blocking `Client` handle.
 //! * [`obs`] — zero-dependency telemetry: lock-free counters/gauges,
-//!   mergeable log-bucketed latency histograms, a bounded query tracer,
+//!   mergeable log-bucketed latency histograms,
 //!   an always-on flight recorder (hierarchical spans for queries,
 //!   rebuilds, snapshots, WAL I/O), a typed health report, a minimal
 //!   `std::net` admin HTTP listener, and Prometheus-style text
@@ -46,7 +46,7 @@
 //!   rebuild-from-scratch).
 //!
 //! How the layers fit together — the layer diagram, the life of a query
-//! and an insert through the store's worker pool, the Transformation-2
+//! and an insert through the store, the Transformation-2
 //! rebuild lifecycle, and the crash-recovery story — is documented in
 //! `docs/ARCHITECTURE.md` at the repository root.
 //!
@@ -84,17 +84,16 @@ pub use dyndex_text as text;
 pub mod prelude {
     pub use dyndex_core::prelude::*;
     pub use dyndex_obs::{
-        HealthReason, HealthReport, HealthStatus, MetricsRegistry, QuerySpan, Span, SpanKind,
+        HealthReason, HealthReport, HealthStatus, MetricsRegistry, Span, SpanKind,
     };
     pub use dyndex_persist::{
-        DurableStore, PersistError, RestoreOptions, SnapshotMode, StorePersist, SyncPolicy,
-        WalOptions,
+        DurableStore, PersistError, RestoreOptions, StorePersist, SyncPolicy, WalOptions,
     };
     pub use dyndex_relations::{DynamicGraph, DynamicRelation};
     pub use dyndex_serve::{Client, ClientError, ServeOptions, Server};
     pub use dyndex_store::{
-        FanOutPolicy, HealthOptions, MaintenancePolicy, ShardPoisoned, ShardedStore, StoreOptions,
-        StoreStats, Telemetry,
+        HealthOptions, MaintenancePolicy, ShardPoisoned, ShardedStore, StoreOptions, StoreStats,
+        Telemetry,
     };
     pub use dyndex_succinct::SpaceUsage;
     pub use dyndex_text::Occurrence;

@@ -2,9 +2,10 @@
 //! deterministic `DEFAULT_SEED` workload answers `count` / `find` /
 //! `find_limit` / `extract` **byte-identically** to insert-at-a-time,
 //! with deletes interleaved between ingest waves and a background
-//! snapshot racing a pooled ingest. The durable layer logs each ingested
-//! chunk as **one coalesced WAL frame** (counted on disk against the
-//! raw frame format) and recovers cleanly from a torn batched frame.
+//! snapshot racing an ingest on the worker pool. The durable layer logs
+//! each ingested chunk as **one coalesced WAL frame** (counted on disk
+//! against the raw frame format) and recovers cleanly from a torn
+//! batched frame.
 
 use dyndex::prelude::*;
 use dyndex_bench::workloads::{markov_text, planted_patterns, rng, split_documents, DEFAULT_SEED};
@@ -153,7 +154,7 @@ fn ingest_matches_insert_at_a_time_byte_identical() {
     assert_eq!(bulk.stats().ingested_docs, docs.len() as u64);
 }
 
-/// A background snapshot racing a pooled ingest: queries and the
+/// A snapshot racing an ingest on the worker pool: queries and the
 /// snapshot writer both keep working off published views while chunks
 /// install. The snapshot captures a consistent point-in-time subset
 /// (every document it holds extracts byte-identically), and the live
@@ -165,7 +166,6 @@ fn background_snapshot_races_ingest() {
     let bulk = Store::new(
         fm(),
         StoreOptions {
-            fan_out: FanOutPolicy::Pooled,
             mode: RebuildMode::Background,
             maintenance: MaintenancePolicy::Periodic(Duration::from_micros(200)),
             ..opts(4)
@@ -180,8 +180,7 @@ fn background_snapshot_races_ingest() {
         let snap = scope.spawn(|| {
             // Land mid-ingest: small chunks below give many install
             // points for the snapshot's per-shard freezes to interleave.
-            bulk.snapshot_with(&dir.0, SnapshotMode::Background)
-                .expect("mid-ingest snapshot")
+            bulk.snapshot(&dir.0).expect("mid-ingest snapshot")
         });
         let mut served = 0usize;
         let ingest = scope.spawn(|| {

@@ -103,7 +103,7 @@ fn assert_byte_identical(live: &Store, restored: &Store, patterns: &[Vec<u8>], m
 /// The headline acceptance scenario: populate → snapshot mid-workload →
 /// keep mutating (WAL tail) → restore fresh → byte-identical answers.
 #[test]
-fn snapshot_with_wal_tail_restores_byte_identical() {
+fn snapshot_plus_wal_tail_restores_byte_identical() {
     let (docs, patterns) = workload();
     let dir = TempDir::new("wal-tail");
     let live = Durable::create(&dir.0, fm(), deterministic_opts(4)).expect("create");
@@ -192,7 +192,7 @@ fn plain_store_snapshot_under_background_mode() {
 // ----------------------------------------------------------------------
 
 /// `StorePersist::restore` must re-create the resident worker pool: the
-/// restored store runs one worker per shard, serves pooled fan-out, and
+/// restored store runs one worker per shard, and
 /// its workers install background rebuilds with no manual maintenance
 /// calls at all.
 #[test]
@@ -211,7 +211,6 @@ fn restore_recreates_worker_pool() {
         RestoreOptions {
             mode: RebuildMode::Background,
             maintenance: MaintenancePolicy::Periodic(Duration::from_micros(200)),
-            fan_out: FanOutPolicy::Pooled,
             ..RestoreOptions::default()
         },
     )
@@ -221,7 +220,6 @@ fn restore_recreates_worker_pool() {
         3,
         "one worker per restored shard"
     );
-    assert_eq!(restored.fan_out_policy(), FanOutPolicy::Pooled);
     for pattern in &patterns {
         assert_eq!(restored.count(pattern), store.count(pattern));
         assert_eq!(restored.find(pattern), store.find(pattern));
@@ -246,8 +244,8 @@ fn restore_recreates_worker_pool() {
 }
 
 /// `DurableStore::open` must hand back a store whose pool is live again:
-/// pooled queries, per-shard workers, and self-draining maintenance,
-/// with the WAL tail replayed underneath.
+/// per-shard workers and self-draining maintenance, with the WAL tail
+/// replayed underneath.
 #[test]
 fn open_recreates_worker_pool() {
     let (docs, patterns) = workload();
@@ -260,7 +258,6 @@ fn open_recreates_worker_pool() {
             index: DynOptions::default(),
             mode: RebuildMode::Background,
             maintenance: MaintenancePolicy::Periodic(Duration::from_micros(200)),
-            fan_out: FanOutPolicy::Pooled,
             ..StoreOptions::default()
         },
     )
@@ -282,13 +279,11 @@ fn open_recreates_worker_pool() {
         RestoreOptions {
             mode: RebuildMode::Background,
             maintenance: MaintenancePolicy::Periodic(Duration::from_micros(200)),
-            fan_out: FanOutPolicy::Pooled,
             ..RestoreOptions::default()
         },
     )
     .expect("open");
     assert_eq!(reopened.store().worker_threads(), 4, "pool re-created");
-    assert_eq!(reopened.store().fan_out_policy(), FanOutPolicy::Pooled);
     for (pattern, want) in patterns.iter().zip(want) {
         assert_eq!(reopened.count(pattern), want, "snapshot + WAL tail");
     }
@@ -363,11 +358,8 @@ fn delta_snapshot_reuses_unchanged_levels() {
         second.bytes_written
     );
 
-    // Nothing changed since the second snapshot: every level is reused,
-    // in stop-the-world mode too (delta is mode-independent).
-    let third = store
-        .snapshot_with(&dir.0, SnapshotMode::StopTheWorld)
-        .expect("third snapshot");
+    // Nothing changed since the second snapshot: every level is reused.
+    let third = store.snapshot(&dir.0).expect("third snapshot");
     assert_eq!(third.levels_written, 0, "{third}");
     assert_eq!(
         third.levels_reused,

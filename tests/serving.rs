@@ -1,10 +1,10 @@
 //! Acceptance for the serving layer, over raw `TcpStream`s and the
 //! typed [`Client`]: remote answers byte-identical to local ones on the
 //! `DEFAULT_SEED` workload, chaos clients (mid-frame hangups,
-//! slow-loris trickles, garbage) never panic the server, backpressure
-//! sheds with typed `Busy` while healthy shards keep serving, and a
-//! poisoned shard surfaces as a typed wire error without taking the
-//! server down.
+//! slow-loris trickles, garbage) never panic the server, admission
+//! sheds with typed `Busy` (connections at the cap, writes behind a
+//! backed-up shard) while reads keep answering, and a poisoned shard
+//! surfaces as a typed wire error without taking the server down.
 
 use dyndex::prelude::*;
 use dyndex::serve::proto::{self, DEFAULT_MAX_FRAME};
@@ -34,7 +34,6 @@ fn pooled_opts() -> StoreOptions {
         index: DynOptions::default(),
         mode: RebuildMode::Inline,
         maintenance: MaintenancePolicy::Periodic(Duration::from_secs(3600)),
-        fan_out: FanOutPolicy::Pooled,
         telemetry: Telemetry::Enabled,
         ..StoreOptions::default()
     }
@@ -312,11 +311,7 @@ fn concurrent_clients_during_background_snapshot() {
     let snapshot = {
         let store = server.store();
         let dir = dir.clone();
-        std::thread::spawn(move || {
-            store
-                .snapshot_with(&dir, SnapshotMode::Background)
-                .expect("background snapshot")
-        })
+        std::thread::spawn(move || store.snapshot(&dir).expect("background snapshot"))
     };
 
     // Remote clients hammer reads while the snapshot freezes and
@@ -399,13 +394,22 @@ fn poisoned_shard_is_a_typed_wire_error_while_others_serve() {
 }
 
 // ----------------------------------------------------------------------
-// Backpressure: saturate one shard, assert typed Busy + shed counting.
+// Admission: writes shed per shard, connections shed at the cap, reads
+// never wait on a worker queue.
 // ----------------------------------------------------------------------
+
+fn shed_counter(server: &Srv) -> Arc<dyndex::obs::Counter> {
+    server
+        .metrics()
+        .expect("telemetry enabled")
+        .find_counter("dyndex_serve_shed_total")
+        .expect("shed counter registered")
+}
 
 #[test]
 fn saturated_queue_sheds_busy_while_other_shards_complete() {
     const THRESHOLD: usize = 4;
-    let (docs, _) = workload();
+    let (docs, patterns) = workload();
     let server = server_with(ServeOptions {
         shed_queue_depth: THRESHOLD,
         ..ServeOptions::default()
@@ -414,11 +418,7 @@ fn saturated_queue_sheds_busy_while_other_shards_complete() {
         server.insert_batch(chunk).unwrap();
     }
     server.flush();
-    let shed_counter = server
-        .metrics()
-        .expect("telemetry enabled")
-        .find_counter("dyndex_serve_shed_total")
-        .expect("shed counter registered");
+    let shed_counter = shed_counter(&server);
     assert_eq!(shed_counter.get(), 0);
 
     // Saturate shard 0's worker queue: one job parks the worker on a
@@ -442,15 +442,16 @@ fn saturated_queue_sheds_busy_while_other_shards_complete() {
 
     let mut client = Client::connect(server.addr()).expect("connect");
 
-    // Fan-out reads gate on the deepest queue: store-wide Busy.
-    match client.count(b"a") {
-        Err(ClientError::Busy {
-            shard: None,
-            queued,
-        }) => {
-            assert!(queued as usize >= THRESHOLD, "queued={queued}")
-        }
-        other => panic!("expected store-wide Busy, got {other:?}"),
+    // Reads ride no queue: with shard 0's worker wedged they still
+    // answer, and exactly as the local handle does.
+    for pattern in &patterns {
+        assert_eq!(client.count(pattern).unwrap(), server.count(pattern) as u64);
+        let local: Vec<(u64, u64)> = server
+            .find_limit(pattern, 5)
+            .into_iter()
+            .map(|hit| (hit.doc, hit.offset as u64))
+            .collect();
+        assert_eq!(client.find_limit(pattern, 5).unwrap(), local);
     }
     // Writes routed to the saturated shard: shard-scoped Busy.
     let mut to_saturated = 3_000_000u64;
@@ -475,16 +476,95 @@ fn saturated_queue_sheds_busy_while_other_shards_complete() {
     let (status, _) = client.health().unwrap();
     assert_eq!(status, RemoteHealth::Ok);
 
-    assert_eq!(shed_counter.get(), 2, "one shed per Busy response");
+    assert_eq!(shed_counter.get(), 1, "only the shard-0 write was shed");
 
-    // Release the blocker: the queue drains and service recovers.
+    // Release the blocker: the queue drains and the shed write goes in.
     drop(release);
     server.flush();
+    client.insert(to_saturated, b"admitted now").unwrap();
+    assert_eq!(shed_counter.get(), 1, "recovered requests are not shed");
+}
+
+#[test]
+fn connections_past_the_cap_get_busy_and_a_freed_slot_is_reused() {
+    const CAP: usize = 2;
+    let server = server_with(ServeOptions {
+        max_connections: CAP,
+        ..ServeOptions::default()
+    });
+    server.insert(1, b"admission document").unwrap();
+    let shed_counter = shed_counter(&server);
+
+    // Fill the house; a served request proves each connection was
+    // admitted (the acceptor counts it before spawning its handler).
+    let mut admitted: Vec<Client> = (0..CAP)
+        .map(|_| Client::connect(server.addr()).expect("connect"))
+        .collect();
+    for client in &mut admitted {
+        assert_eq!(client.count(b"admission").unwrap(), 1);
+    }
+    assert_eq!(server.open_connections(), CAP);
+
+    // Connection CAP + 1: one Busy frame, then the server closes it.
+    let mut refused = TcpStream::connect(server.addr()).unwrap();
+    refused
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reply = Vec::new();
+    refused
+        .read_to_end(&mut reply)
+        .expect("closed after the frame");
+    let mut cursor = reply.as_slice();
+    let (opcode, payload) = proto::read_frame(&mut cursor, DEFAULT_MAX_FRAME)
+        .expect("busy frame")
+        .expect("busy frame");
     assert_eq!(
-        client.count(b"other").unwrap(),
-        server.count(b"other") as u64
+        Response::decode(opcode, &payload).unwrap(),
+        Response::Busy {
+            shard: None,
+            queued: CAP as u64
+        }
     );
-    assert_eq!(shed_counter.get(), 2, "recovered requests are not shed");
+    assert!(cursor.is_empty(), "exactly one frame before the close");
+    assert_eq!(shed_counter.get(), 1, "the refusal is counted once");
+    assert_eq!(server.open_connections(), CAP);
+
+    // One client leaves; once its handler has noticed, a newcomer is
+    // admitted and served, and nothing more is shed.
+    drop(admitted.pop());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.open_connections() >= CAP {
+        assert!(Instant::now() < deadline, "slot never freed");
+        std::thread::yield_now();
+    }
+    let mut newcomer = Client::connect(server.addr()).expect("connect into the freed slot");
+    assert_eq!(newcomer.count(b"admission").unwrap(), 1);
+    assert_eq!(admitted[0].count(b"admission").unwrap(), 1);
+    assert_eq!(shed_counter.get(), 1);
+}
+
+#[test]
+fn oversized_find_reply_is_a_typed_error_and_the_connection_survives() {
+    const CAP: u32 = 256;
+    let server = server_with(ServeOptions {
+        max_frame_len: CAP,
+        ..ServeOptions::default()
+    });
+    // 40 hits at 16 bytes each cannot fit a 256-byte reply frame.
+    for id in 0..40u64 {
+        server.insert(id, b"oversize needle").unwrap();
+    }
+    let mut client = Client::connect(server.addr()).expect("connect");
+    match client.find(b"needle") {
+        Err(ClientError::Remote(WireError::Internal { detail })) => {
+            assert!(detail.contains(&format!("{CAP}-byte")), "{detail}");
+            assert!(detail.contains("find_limit"), "{detail}");
+        }
+        other => panic!("expected a typed Internal error, got {other:?}"),
+    }
+    // Same socket, still in sync: the next requests are served.
+    assert_eq!(client.count(b"needle").unwrap(), 40);
+    assert_eq!(client.find_limit(b"needle", 3).unwrap().len(), 3);
 }
 
 // ----------------------------------------------------------------------

@@ -174,7 +174,7 @@ fn concurrent_readers_during_writes_and_maintenance() {
 }
 
 // ----------------------------------------------------------------------
-// Worker-pool lifecycle (FanOutPolicy::Pooled)
+// Stores with the resident worker pool running
 // ----------------------------------------------------------------------
 
 fn pooled_opts(mode: RebuildMode) -> StoreOptions {
@@ -183,46 +183,45 @@ fn pooled_opts(mode: RebuildMode) -> StoreOptions {
         index: DynOptions::default(),
         mode,
         maintenance: MaintenancePolicy::Periodic(Duration::from_micros(200)),
-        fan_out: FanOutPolicy::Pooled,
         ..StoreOptions::default()
     }
 }
 
-/// Acceptance criterion for the pool: a store fanning out on resident
-/// workers answers `count`/`find` byte-identically to an unsharded
+/// Acceptance criterion for the pool: a store with resident workers
+/// answers `count`/`find` byte-identically to an unsharded
 /// `Transform2Index` on the `DEFAULT_SEED` workload — with rebuild jobs
 /// in flight and the workers installing them concurrently — and its
-/// `find_limit` truncation is byte-identical to a `ScopedSpawn` twin
-/// driven through the identical op sequence.
+/// `find_limit` truncation is byte-identical to a poolless
+/// (`MaintenancePolicy::Manual`) twin driven through the identical op
+/// sequence: the pool never changes an answer.
 #[test]
 fn pooled_store_matches_unsharded_on_default_seed() {
     let (docs, patterns) = workload();
     // Inline rebuilds: shard layout is a pure function of the op
-    // sequence, so the pooled and scoped twins stay layout-identical
+    // sequence, so the pooled and poolless twins stay layout-identical
     // and even truncated find_limit answers must agree byte-for-byte.
     let pooled = Store::new(fm(), pooled_opts(RebuildMode::Inline));
-    let scoped = Store::new(
+    let manual = Store::new(
         fm(),
         StoreOptions {
-            fan_out: FanOutPolicy::ScopedSpawn,
+            maintenance: MaintenancePolicy::Manual,
             ..pooled_opts(RebuildMode::Inline)
         },
     );
     assert_eq!(pooled.worker_threads(), 4);
-    assert_eq!(pooled.fan_out_policy(), FanOutPolicy::Pooled);
-    assert_eq!(scoped.fan_out_policy(), FanOutPolicy::ScopedSpawn);
+    assert_eq!(manual.worker_threads(), 0);
     let mut reference = Reference::new(fm(), DynOptions::default(), RebuildMode::Inline);
 
     for chunk in docs.chunks(24) {
         pooled.insert_batch(chunk).unwrap();
-        scoped.insert_batch(chunk).unwrap();
+        manual.insert_batch(chunk).unwrap();
         for (id, bytes) in chunk {
             reference.insert(*id, bytes);
         }
     }
     let doomed: Vec<u64> = (0..docs.len() as u64).filter(|id| id % 3 == 0).collect();
     assert_eq!(pooled.delete_batch(&doomed).unwrap(), doomed.len());
-    assert_eq!(scoped.delete_batch(&doomed).unwrap(), doomed.len());
+    assert_eq!(manual.delete_batch(&doomed).unwrap(), doomed.len());
     for id in &doomed {
         reference.delete(*id);
     }
@@ -232,8 +231,8 @@ fn pooled_store_matches_unsharded_on_default_seed() {
         for limit in [0usize, 1, 5, 17, 1000, usize::MAX] {
             assert_eq!(
                 pooled.find_limit(pattern, limit),
-                scoped.find_limit(pattern, limit),
-                "pooled vs scoped find_limit({limit}), pattern {:?}",
+                manual.find_limit(pattern, limit),
+                "pooled vs poolless find_limit({limit}), pattern {:?}",
                 String::from_utf8_lossy(pattern)
             );
         }
@@ -251,6 +250,73 @@ fn pooled_store_matches_unsharded_on_default_seed() {
         assert_store_matches(&bg, &bg_reference, &patterns[..3], "pooled mid-insert");
     }
     assert_store_matches(&bg, &bg_reference, &patterns, "pooled after inserts");
+}
+
+/// The read path is the caller's thread and the published views, nothing
+/// else: with *every* shard's worker parked on a channel, `count`, `find`
+/// and `find_limit` from several threads still answer — exactly as the
+/// unsharded reference does — and no worker queue ever holds more than
+/// the one parked job. (A read that entered a queue would sit behind the
+/// parked job forever.)
+#[test]
+fn reads_never_enter_worker_queues() {
+    let (docs, patterns) = workload();
+    let store = Store::new(fm(), pooled_opts(RebuildMode::Inline));
+    let mut reference = Reference::new(fm(), DynOptions::default(), RebuildMode::Inline);
+    for chunk in docs.chunks(64) {
+        store.insert_batch(chunk).unwrap();
+        for (id, bytes) in chunk {
+            reference.insert(*id, bytes);
+        }
+    }
+    store.flush();
+
+    // Park every worker; each job reports in before it blocks, so from
+    // here every queue is exactly: nothing queued, one job busy.
+    let (parked_tx, parked_rx) = std::sync::mpsc::channel::<()>();
+    let releases: Vec<std::sync::mpsc::Sender<()>> = (0..store.num_shards())
+        .map(|shard| {
+            let (release, wait) = std::sync::mpsc::channel::<()>();
+            let parked = parked_tx.clone();
+            assert!(store.submit_background_job(
+                shard,
+                Box::new(move || {
+                    parked.send(()).unwrap();
+                    let _ = wait.recv();
+                })
+            ));
+            release
+        })
+        .collect();
+    for _ in 0..store.num_shards() {
+        parked_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("worker picked its parking job up");
+    }
+    assert_eq!(store.max_queue_depth(), 1);
+
+    std::thread::scope(|scope| {
+        for _ in 0..3 {
+            scope.spawn(|| {
+                assert_store_matches(&store, &reference, &patterns, "workers parked");
+                for pattern in &patterns {
+                    let mut all = reference.find(pattern);
+                    all.sort();
+                    assert_eq!(store.find_limit(pattern, usize::MAX), all);
+                    let capped = store.find_limit(pattern, 3);
+                    assert_eq!(capped.len(), all.len().min(3));
+                    assert!(capped.iter().all(|hit| all.contains(hit)));
+                    assert_eq!(store.max_queue_depth(), 1, "only the parked jobs");
+                }
+            });
+        }
+    });
+    assert_eq!(store.stats().queued_requests(), 0);
+    assert_eq!(store.stats().busy_workers(), store.num_shards());
+
+    drop(releases);
+    store.flush();
+    assert_eq!(store.max_queue_depth(), 0);
 }
 
 /// Dropping the store while other threads still hold clones and are
@@ -324,7 +390,7 @@ fn poisoned_writer_keeps_reads_serving_last_view() {
     let msg = panic_message(write_panic.as_ref());
     assert!(msg.contains("already present"), "unexpected panic: {msg}");
 
-    // The regression this test pins down: fan-out queries used to
+    // The regression this test pins down: multi-shard queries used to
     // `.expect("shard lock poisoned")`-panic store-wide. Now `find`
     // answers exactly from the last published views, repeatedly.
     for attempt in 0..2 {
@@ -384,9 +450,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Regression for the `flush` contract: with readers hammering the
-/// worker queues from other threads, `flush` must still return (drain
-/// the queues without deadlocking against them) and leave the store
-/// settled — zero pending rebuild jobs — every time.
+/// store from other threads, `flush` must still return (drain the
+/// worker queues without deadlocking) and leave the store settled —
+/// zero pending rebuild jobs — every time.
 #[test]
 fn flush_drains_request_queues_under_concurrent_readers() {
     let (docs, patterns) = workload();
@@ -425,10 +491,10 @@ fn flush_drains_request_queues_under_concurrent_readers() {
 
 /// The headline acceptance criterion: queries execute without acquiring
 /// the shard `RwLock`. Proven directly — this thread holds a shard's
-/// write lock while a full fan-out `find` (which includes that shard)
-/// completes with exact answers. Under the old lock-based read path this
-/// deadlocks; under view publication the workers answer from the last
-/// published views.
+/// write lock while a full multi-shard `find` (which includes that
+/// shard) completes with exact answers. Under the old lock-based read
+/// path this deadlocks; under view publication the query answers from
+/// the last published views.
 #[test]
 fn find_completes_while_shard_write_lock_is_held() {
     let (docs, patterns) = workload();
@@ -466,7 +532,6 @@ fn pinned_view_is_immutable_and_epochs_increase() {
             index: DynOptions::default(),
             mode: RebuildMode::Inline,
             maintenance: MaintenancePolicy::Manual,
-            fan_out: FanOutPolicy::ScopedSpawn,
             ..StoreOptions::default()
         },
     );
@@ -511,7 +576,6 @@ fn concurrent_view_loads_are_never_torn() {
             index: DynOptions::default(),
             mode: RebuildMode::Background,
             maintenance: MaintenancePolicy::Manual,
-            fan_out: FanOutPolicy::ScopedSpawn,
             ..StoreOptions::default()
         },
     );
@@ -606,7 +670,7 @@ fn read_write_soak() {
 }
 
 // ----------------------------------------------------------------------
-// Background snapshots (SnapshotMode::Background)
+// Snapshots beside live traffic
 // ----------------------------------------------------------------------
 
 struct SnapshotTempDir(std::path::PathBuf);
@@ -629,13 +693,11 @@ impl Drop for SnapshotTempDir {
 }
 
 /// Acceptance criterion for the non-blocking snapshot pipeline: a
-/// background-mode snapshot never holds more than one shard's write
-/// lock at a time. Proven deterministically by wedging one shard's
-/// write lock open: the snapshot must park on that shard with every
-/// *other* shard unlocked and serviceable — under the old
-/// stop-the-world path (`lock_all_shards` in shard order), the same
-/// scenario holds shards 0..k locked while waiting on shard k+1, and
-/// the single-shard operations below would hang.
+/// snapshot never holds more than one shard's write lock at a time.
+/// Proven deterministically by wedging one shard's write lock open: the
+/// snapshot must park on that shard with every *other* shard unlocked
+/// and serviceable — a snapshot that took every shard lock in shard
+/// order would hold shards 0..k locked while waiting on shard k+1.
 #[test]
 fn background_snapshot_holds_at_most_one_shard_lock() {
     let (docs, patterns) = workload();
@@ -748,9 +810,8 @@ fn queries_complete_while_background_snapshot_serializes() {
     assert!(!store.stats().snapshot_in_progress);
     assert_eq!(stats.shards, store.num_shards());
 
-    // Fan-out queries that queued behind the snapshot's serialization
-    // jobs still answer exactly.
+    // Multi-shard queries answer exactly once the snapshot is done.
     for (pattern, want) in patterns.iter().zip(want) {
-        assert_eq!(store.count(pattern), want, "post-snapshot fan-out");
+        assert_eq!(store.count(pattern), want, "post-snapshot count");
     }
 }
