@@ -18,8 +18,9 @@ use std::time::{Duration, Instant};
 
 /// Reads from a [`TcpStream`] under an absolute deadline.
 ///
-/// Construction records the deadline; every read call re-derives the
-/// remaining budget and sets the socket's read timeout to it, so no
+/// Construction records the deadline and touches nothing; every read
+/// call re-derives the remaining budget and sets the socket's read
+/// timeout to it (one `setsockopt` per `read`), so no
 /// sequence of partial reads can extend a connection's welcome past the
 /// deadline. The socket's read-timeout option is left at the last
 /// remaining-budget value when the reader is dropped — callers that keep
@@ -38,7 +39,7 @@ use std::time::{Duration, Instant};
 /// let (conn, _) = listener.accept().unwrap();
 ///
 /// sender.write_all(b"hello").unwrap();
-/// let mut reader = DeadlineReader::new(&conn, Duration::from_secs(2)).unwrap();
+/// let mut reader = DeadlineReader::new(&conn, Duration::from_secs(2));
 /// let mut buf = [0u8; 5];
 /// reader.read_exact(&mut buf).unwrap();
 /// assert_eq!(&buf, b"hello");
@@ -46,7 +47,7 @@ use std::time::{Duration, Instant};
 /// // The peer sends nothing more: the read fails at the deadline
 /// // instead of blocking forever.
 /// drop(reader);
-/// let mut reader = DeadlineReader::new(&conn, Duration::from_millis(50)).unwrap();
+/// let mut reader = DeadlineReader::new(&conn, Duration::from_millis(50));
 /// let err = reader.read_exact(&mut buf).unwrap_err();
 /// assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
 /// ```
@@ -57,24 +58,16 @@ pub struct DeadlineReader<'a> {
 }
 
 impl<'a> DeadlineReader<'a> {
-    /// Pins the deadline `budget` from now.
-    ///
-    /// # Errors
-    /// Propagates the socket's `set_read_timeout` failure (the initial
-    /// timeout is installed eagerly so a zero-budget reader fails fast).
-    pub fn new(conn: &'a TcpStream, budget: Duration) -> io::Result<Self> {
+    /// Pins the deadline `budget` from now. A zero budget fails the
+    /// first read without touching the socket.
+    pub fn new(conn: &'a TcpStream, budget: Duration) -> Self {
         Self::until(conn, Instant::now() + budget)
     }
 
     /// Pins an explicit absolute `deadline` (e.g. one shared across the
     /// header and payload of a single frame).
-    ///
-    /// # Errors
-    /// Propagates the socket's `set_read_timeout` failure.
-    pub fn until(conn: &'a TcpStream, deadline: Instant) -> io::Result<Self> {
-        let reader = DeadlineReader { conn, deadline };
-        reader.arm()?;
-        Ok(reader)
+    pub fn until(conn: &'a TcpStream, deadline: Instant) -> Self {
+        DeadlineReader { conn, deadline }
     }
 
     /// Installs the remaining budget as the socket read timeout.
@@ -93,8 +86,8 @@ impl<'a> DeadlineReader<'a> {
     ///
     /// # Errors
     /// [`std::io::ErrorKind::TimedOut`] once the deadline has passed
-    /// (spurious early wakeups re-arm and retry); any other socket error
-    /// is passed through.
+    /// (spurious early wakeups re-arm and retry); any other socket error,
+    /// `set_read_timeout`'s included, is passed through.
     pub fn read_some(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         loop {
             if Instant::now() >= self.deadline {
@@ -172,7 +165,7 @@ mod tests {
     fn reads_complete_data_within_deadline() {
         let (mut sender, receiver) = pair();
         sender.write_all(b"abcdef").unwrap();
-        let mut reader = DeadlineReader::new(&receiver, Duration::from_secs(5)).unwrap();
+        let mut reader = DeadlineReader::new(&receiver, Duration::from_secs(5));
         let mut buf = [0u8; 6];
         reader.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"abcdef");
@@ -192,7 +185,7 @@ mod tests {
             }
         });
         let start = Instant::now();
-        let mut reader = DeadlineReader::new(&receiver, Duration::from_millis(200)).unwrap();
+        let mut reader = DeadlineReader::new(&receiver, Duration::from_millis(200));
         let mut buf = [0u8; 64];
         let err = reader.read_exact(&mut buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);
@@ -210,7 +203,7 @@ mod tests {
         let (mut sender, receiver) = pair();
         sender.write_all(b"ab").unwrap();
         drop(sender);
-        let mut reader = DeadlineReader::new(&receiver, Duration::from_secs(5)).unwrap();
+        let mut reader = DeadlineReader::new(&receiver, Duration::from_secs(5));
         let mut buf = [0u8; 8];
         let err = reader.read_exact(&mut buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
@@ -220,7 +213,7 @@ mod tests {
     fn clean_eof_reads_zero() {
         let (sender, receiver) = pair();
         drop(sender);
-        let mut reader = DeadlineReader::new(&receiver, Duration::from_secs(5)).unwrap();
+        let mut reader = DeadlineReader::new(&receiver, Duration::from_secs(5));
         let mut buf = [0u8; 8];
         assert_eq!(reader.read_some(&mut buf).unwrap(), 0);
     }

@@ -178,9 +178,7 @@ fn serve_connection(mut conn: TcpStream, routes: &[(String, AdminHandler)]) {
     // per-read timeout reset on every successful `read`, so a slow-loris
     // client feeding one byte every ~1.9s could hold this thread for
     // hours before hitting the size cap.
-    let Ok(mut reader) = DeadlineReader::new(&conn, HEAD_DEADLINE) else {
-        return;
-    };
+    let mut reader = DeadlineReader::new(&conn, HEAD_DEADLINE);
     let mut head = Vec::with_capacity(512);
     let mut buf = [0u8; 512];
     loop {

@@ -395,19 +395,27 @@ where
         Ok(())
     }
 
-    /// Runs `f` for every non-empty shard group on its own scoped
-    /// thread, summing the results (the WAL mutex inside `f` serializes
-    /// same-shard work; different shards proceed in parallel).
+    /// Runs `f` for every non-empty shard group, summing the results: a
+    /// lone group on the caller, several each on its own scoped thread
+    /// (the WAL mutex inside `f` serializes same-shard work; different
+    /// shards proceed in parallel).
     fn for_each_group<T, F>(&self, groups: Vec<Vec<T>>, f: F) -> Result<usize, PersistError>
     where
         T: Send,
         F: Fn(usize, Vec<T>) -> Result<usize, PersistError> + Sync,
     {
+        let mut groups: Vec<(usize, Vec<T>)> = groups
+            .into_iter()
+            .enumerate()
+            .filter(|(_, g)| !g.is_empty())
+            .collect();
+        if groups.len() == 1 {
+            let (shard, group) = groups.pop().expect("one group");
+            return f(shard, group);
+        }
         let results: Vec<Result<usize, PersistError>> = std::thread::scope(|scope| {
             let handles: Vec<_> = groups
                 .into_iter()
-                .enumerate()
-                .filter(|(_, g)| !g.is_empty())
                 .map(|(shard, group)| {
                     let f = &f;
                     scope.spawn(move || f(shard, group))

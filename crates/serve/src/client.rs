@@ -2,8 +2,10 @@
 //! typed errors, one in-flight request at a time.
 
 use crate::proto::{
-    self, ProtoError, RemoteHealth, RemoteStats, Request, Response, WireError, DEFAULT_MAX_FRAME,
+    FrameReader, ProtoError, RemoteHealth, RemoteStats, Request, Response, WireError,
+    DEFAULT_MAX_FRAME, READ_AHEAD,
 };
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -85,6 +87,10 @@ impl From<std::io::Error> for ClientError {
 pub struct Client {
     conn: TcpStream,
     max_frame: u32,
+    /// The connection's receive and send buffers: a reply normally
+    /// arrives in one `read`, a request leaves in one `write`.
+    frames: FrameReader,
+    out: Vec<u8>,
 }
 
 impl Client {
@@ -98,6 +104,8 @@ impl Client {
         let mut client = Client {
             conn,
             max_frame: DEFAULT_MAX_FRAME,
+            frames: FrameReader::default(),
+            out: Vec::new(),
         };
         client.set_timeout(Duration::from_secs(30))?;
         Ok(client)
@@ -123,11 +131,15 @@ impl Client {
 
     /// One request/response exchange.
     fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        request.write_frame(&mut self.conn, self.max_frame)?;
-        let (opcode, payload) =
-            proto::read_frame(&mut self.conn, self.max_frame)?.ok_or(ClientError::Disconnected)?;
-        let response = Response::decode(opcode, &payload)?;
-        match response {
+        self.out.clear();
+        self.out.shrink_to(READ_AHEAD);
+        request.encode_frame(&mut self.out, self.max_frame)?;
+        self.conn.write_all(&self.out)?;
+        let (opcode, payload) = self
+            .frames
+            .read_frame(&mut self.conn, self.max_frame)?
+            .ok_or(ClientError::Disconnected)?;
+        match Response::decode(opcode, payload)? {
             Response::Busy { shard, queued } => Err(ClientError::Busy { shard, queued }),
             Response::Error(err) => Err(ClientError::Remote(err)),
             other => Ok(other),
@@ -188,7 +200,10 @@ impl Client {
         }
     }
 
-    /// Locates at most `limit` occurrences of `pattern`.
+    /// Locates any `min(limit, count)` distinct occurrences of `pattern`,
+    /// sorted. Which ones is unspecified — not a prefix of [`Client::find`]:
+    /// [`ShardedStore::find_limit`](dyndex_store::ShardedStore::find_limit)
+    /// draws them shard by shard.
     ///
     /// # Errors
     /// See [`ClientError`].

@@ -193,7 +193,8 @@ pub enum Request {
         /// The pattern bytes.
         pattern: Vec<u8>,
     },
-    /// Locate at most `limit` occurrences of `pattern`.
+    /// Locate any `min(limit, count)` distinct occurrences of `pattern`,
+    /// sorted; which ones is unspecified (drawn shard by shard).
     FindLimit {
         /// The pattern bytes.
         pattern: Vec<u8>,
@@ -220,25 +221,23 @@ impl Request {
         }
     }
 
-    fn payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    fn encode_payload(&self, out: &mut Vec<u8>) {
         // Writes into a Vec cannot fail.
         match self {
             Request::Insert { doc_id, bytes } => {
-                write_u64(&mut out, *doc_id).unwrap();
-                write_bytes(&mut out, bytes).unwrap();
+                write_u64(out, *doc_id).unwrap();
+                write_bytes(out, bytes).unwrap();
             }
-            Request::Delete { doc_id } => write_u64(&mut out, *doc_id).unwrap(),
+            Request::Delete { doc_id } => write_u64(out, *doc_id).unwrap(),
             Request::Count { pattern } | Request::Find { pattern } => {
-                write_bytes(&mut out, pattern).unwrap();
+                write_bytes(out, pattern).unwrap();
             }
             Request::FindLimit { pattern, limit } => {
-                write_bytes(&mut out, pattern).unwrap();
-                write_u64(&mut out, *limit).unwrap();
+                write_bytes(out, pattern).unwrap();
+                write_u64(out, *limit).unwrap();
             }
             Request::Stats | Request::Health => {}
         }
-        out
     }
 
     /// Decodes a request from a verified frame.
@@ -274,13 +273,26 @@ impl Request {
         Ok(request)
     }
 
-    /// Frames this request into `w`.
+    /// Appends this request as one whole frame to `out` — a connection's
+    /// reusable send buffer, which then goes out in one `write_all`.
+    ///
+    /// # Errors
+    /// [`ProtoError::FrameTooLarge`], leaving `out` as it was.
+    pub fn encode_frame(&self, out: &mut Vec<u8>, max_frame: u32) -> Result<(), ProtoError> {
+        encode_frame(out, self.opcode(), max_frame, |out| {
+            self.encode_payload(out)
+        })
+    }
+
+    /// Frames this request into `w` with one `write_all`.
     ///
     /// # Errors
     /// [`ProtoError::FrameTooLarge`] when the encoded payload exceeds
     /// `max_frame`; otherwise only socket failures.
     pub fn write_frame<W: Write>(&self, w: &mut W, max_frame: u32) -> Result<(), ProtoError> {
-        write_frame(w, self.opcode(), &self.payload(), max_frame)
+        let mut frame = Vec::new();
+        self.encode_frame(&mut frame, max_frame)?;
+        Ok(w.write_all(&frame)?)
     }
 }
 
@@ -391,43 +403,41 @@ impl Response {
         }
     }
 
-    fn payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    fn encode_payload(&self, out: &mut Vec<u8>) {
         match self {
             Response::Inserted => {}
             Response::Deleted { previous } => {
-                write_u8(&mut out, previous.is_some() as u8).unwrap();
+                write_u8(out, previous.is_some() as u8).unwrap();
                 if let Some(bytes) = previous {
-                    write_bytes(&mut out, bytes).unwrap();
+                    write_bytes(out, bytes).unwrap();
                 }
             }
-            Response::Count(n) => write_u64(&mut out, *n).unwrap(),
+            Response::Count(n) => write_u64(out, *n).unwrap(),
             Response::Occurrences(hits) => {
-                write_u64(&mut out, hits.len() as u64).unwrap();
+                write_u64(out, hits.len() as u64).unwrap();
                 for (doc, offset) in hits {
-                    write_u64(&mut out, *doc).unwrap();
-                    write_u64(&mut out, *offset).unwrap();
+                    write_u64(out, *doc).unwrap();
+                    write_u64(out, *offset).unwrap();
                 }
             }
             Response::Stats(stats) => {
-                write_u64(&mut out, stats.docs).unwrap();
-                write_u64(&mut out, stats.symbols).unwrap();
-                write_u32(&mut out, stats.shards).unwrap();
-                write_u64(&mut out, stats.pending_jobs).unwrap();
-                write_u64(&mut out, stats.queued_requests).unwrap();
-                write_u32(&mut out, stats.busy_workers).unwrap();
+                write_u64(out, stats.docs).unwrap();
+                write_u64(out, stats.symbols).unwrap();
+                write_u32(out, stats.shards).unwrap();
+                write_u64(out, stats.pending_jobs).unwrap();
+                write_u64(out, stats.queued_requests).unwrap();
+                write_u32(out, stats.busy_workers).unwrap();
             }
             Response::Health { status, detail } => {
-                write_u8(&mut out, status.code()).unwrap();
-                write_str(&mut out, detail).unwrap();
+                write_u8(out, status.code()).unwrap();
+                write_str(out, detail).unwrap();
             }
             Response::Busy { shard, queued } => {
-                write_u32(&mut out, shard.unwrap_or(NO_SHARD)).unwrap();
-                write_u64(&mut out, *queued).unwrap();
+                write_u32(out, shard.unwrap_or(NO_SHARD)).unwrap();
+                write_u64(out, *queued).unwrap();
             }
-            Response::Error(err) => encode_wire_error(&mut out, err),
+            Response::Error(err) => encode_wire_error(out, err),
         }
-        out
     }
 
     /// Decodes a response from a verified frame.
@@ -493,13 +503,23 @@ impl Response {
         Ok(response)
     }
 
+    /// Appends this response as one whole frame to `out`, or fails as
+    /// [`Request::encode_frame`] does.
+    pub fn encode_frame(&self, out: &mut Vec<u8>, max_frame: u32) -> Result<(), ProtoError> {
+        encode_frame(out, self.opcode(), max_frame, |out| {
+            self.encode_payload(out)
+        })
+    }
+
     /// Frames this response into `w` (see [`Request::write_frame`]).
     ///
     /// # Errors
     /// [`ProtoError::FrameTooLarge`] when the encoded payload exceeds
     /// `max_frame`; otherwise only socket failures.
     pub fn write_frame<W: Write>(&self, w: &mut W, max_frame: u32) -> Result<(), ProtoError> {
-        write_frame(w, self.opcode(), &self.payload(), max_frame)
+        let mut frame = Vec::new();
+        self.encode_frame(&mut frame, max_frame)?;
+        Ok(w.write_all(&frame)?)
     }
 }
 
@@ -567,7 +587,37 @@ fn expect_consumed(r: &std::io::Cursor<&[u8]>) -> Result<(), ProtoError> {
 // Framing.
 // ---------------------------------------------------------------------
 
-/// Writes one frame: header, payload, CRC.
+/// Appends one frame to `out`: header, the payload `payload` writes,
+/// CRC. On [`ProtoError::FrameTooLarge`] `out` is left as it was.
+fn encode_frame(
+    out: &mut Vec<u8>,
+    opcode: u16,
+    max_frame: u32,
+    payload: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), ProtoError> {
+    let start = out.len();
+    out.reserve(64); // a small frame whole, where `out` starts empty
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&opcode.to_le_bytes());
+    out.extend_from_slice(&[0; 4]);
+    payload(out);
+    let body = start + HEADER_LEN;
+    let len = out.len() - body;
+    if len as u64 > max_frame as u64 {
+        out.truncate(start);
+        return Err(ProtoError::FrameTooLarge {
+            len: len.min(u32::MAX as usize) as u32,
+            max: max_frame,
+        });
+    }
+    out[body - 4..body].copy_from_slice(&(len as u32).to_le_bytes());
+    let crc = crc32(&out[body..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
+
+/// Writes one frame — header, payload, CRC — with one `write_all`.
 ///
 /// # Errors
 /// [`ProtoError::FrameTooLarge`] when `payload` exceeds `max_frame`
@@ -579,52 +629,19 @@ pub fn write_frame<W: Write>(
     payload: &[u8],
     max_frame: u32,
 ) -> Result<(), ProtoError> {
-    if payload.len() as u64 > max_frame as u64 {
-        return Err(ProtoError::FrameTooLarge {
-            len: payload.len().min(u32::MAX as usize) as u32,
-            max: max_frame,
-        });
-    }
-    w.write_all(&MAGIC)?;
-    write_u16(w, VERSION)?;
-    write_u16(w, opcode)?;
-    write_u32(w, payload.len() as u32)?;
-    w.write_all(payload)?;
-    write_u32(w, crc32(payload))?;
-    Ok(())
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
+    encode_frame(&mut frame, opcode, max_frame, |out| {
+        out.extend_from_slice(payload)
+    })?;
+    Ok(w.write_all(&frame)?)
 }
 
-/// Reads one byte — the start of the next frame — distinguishing a
-/// clean close (`Ok(None)`: EOF before any byte) from everything else.
-/// The serving loop uses this to wait out a connection's idle gap under
-/// a different deadline than the frame that follows.
-pub fn read_first_byte<R: Read>(r: &mut R) -> Result<Option<u8>, ProtoError> {
-    let mut byte = [0u8; 1];
-    loop {
-        match r.read(&mut byte) {
-            Ok(0) => return Ok(None),
-            Ok(_) => return Ok(Some(byte[0])),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-}
-
-/// Reads the rest of a frame whose first magic byte (`first`) was
-/// already consumed; validates magic, version, length cap, and CRC, and
-/// returns the authenticated `(opcode, payload)`.
-pub fn read_frame_rest<R: Read>(
-    first: u8,
-    r: &mut R,
-    max_frame: u32,
-) -> Result<(u16, Vec<u8>), ProtoError> {
-    let mut header = [0u8; HEADER_LEN];
-    header[0] = first;
-    r.read_exact(&mut header[1..])?;
+/// Validates a frame header; returns `(opcode, payload_len)`.
+fn parse_header(header: &[u8], max_frame: u32) -> Result<(u16, usize), ProtoError> {
     if header[..4] != MAGIC {
-        let mut magic = [0u8; 4];
-        magic.copy_from_slice(&header[..4]);
-        return Err(ProtoError::BadMagic(magic));
+        return Err(ProtoError::BadMagic([
+            header[0], header[1], header[2], header[3],
+        ]));
     }
     let version = u16::from_le_bytes([header[4], header[5]]);
     if version != VERSION {
@@ -641,17 +658,97 @@ pub fn read_frame_rest<R: Read>(
             max: max_frame,
         });
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    let mut crc = [0u8; 4];
-    r.read_exact(&mut crc)?;
-    if u32::from_le_bytes(crc) != crc32(&payload) {
-        return Err(ProtoError::ChecksumMismatch);
-    }
-    Ok((opcode, payload))
+    Ok((opcode, len as usize))
 }
 
-/// Reads one whole frame; `Ok(None)` on a clean close before any byte.
+/// Room a [`FrameReader`] offers each `read`: a small request or reply
+/// — header, payload and CRC — arrives in one. Also what a connection's
+/// buffers shrink back to after a large frame.
+pub(crate) const READ_AHEAD: usize = 4096;
+
+/// One connection's receive buffer, kept for the connection's lifetime
+/// by whoever reads it: a `read` may deliver bytes of the *next* frame,
+/// which wait here for the next [`FrameReader::read_frame`] call.
+#[derive(Debug, Default)]
+pub struct FrameReader {
+    /// `buf[start..end]` holds bytes received and not yet handed out.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// Never read past the frame being read (no [`READ_AHEAD`]).
+    exact: bool,
+}
+
+impl FrameReader {
+    /// Waits for the next frame's first byte unless it is already
+    /// buffered — the idle gap between frames, which a server bounds
+    /// apart from the frame itself. `Ok(false)` is a clean close.
+    pub fn await_frame<R: Read>(&mut self, r: &mut R) -> Result<bool, ProtoError> {
+        self.release();
+        self.fill(r, 1)
+    }
+
+    /// Drops the frame handed out last (only now: its payload was lent
+    /// out of the buffer) and moves what followed it to the front.
+    fn release(&mut self) {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        if self.buf.len() > READ_AHEAD && self.end <= READ_AHEAD {
+            self.buf.truncate(READ_AHEAD);
+            self.buf.shrink_to_fit();
+        }
+    }
+
+    /// Reads one frame, validating magic, version, length cap (before
+    /// the buffer grows for the payload) and CRC; returns the
+    /// authenticated `(opcode, payload)`, the payload borrowed from the
+    /// buffer. `Ok(None)` is a clean close: EOF before a frame's first
+    /// byte. After an error (EOF inside a frame is [`ProtoError::Io`])
+    /// the stream is out of sync and the reader of no further use.
+    pub fn read_frame<R: Read>(
+        &mut self,
+        r: &mut R,
+        max_frame: u32,
+    ) -> Result<Option<(u16, &[u8])>, ProtoError> {
+        self.release();
+        if !self.fill(r, HEADER_LEN)? {
+            return Ok(None);
+        }
+        let (opcode, len) = parse_header(&self.buf[..HEADER_LEN], max_frame)?;
+        let total = HEADER_LEN + len + 4;
+        self.fill(r, total)?;
+        let (payload, crc) = self.buf[HEADER_LEN..total].split_at(len);
+        if crc != crc32(payload).to_le_bytes() {
+            return Err(ProtoError::ChecksumMismatch);
+        }
+        self.start = total;
+        Ok(Some((opcode, payload)))
+    }
+
+    /// Reads until `buf[..need]` is filled. `Ok(false)` on EOF with
+    /// nothing buffered; EOF after that is an error.
+    fn fill<R: Read>(&mut self, r: &mut R, need: usize) -> Result<bool, ProtoError> {
+        if self.buf.len() < need {
+            let ahead = if self.exact { 0 } else { READ_AHEAD };
+            self.buf.resize(need.max(ahead), 0);
+        }
+        while self.end < need {
+            match r.read(&mut self.buf[self.end..]) {
+                Ok(0) if self.end == 0 => return Ok(false),
+                Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into()),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(true)
+    }
+}
+
+/// Reads one whole frame from a source no [`FrameReader`] is kept for,
+/// taking exactly the frame's bytes; `Ok(None)` on a clean close before
+/// any byte.
 ///
 /// # Examples
 ///
@@ -672,10 +769,13 @@ pub fn read_frame<R: Read>(
     r: &mut R,
     max_frame: u32,
 ) -> Result<Option<(u16, Vec<u8>)>, ProtoError> {
-    match read_first_byte(r)? {
-        None => Ok(None),
-        Some(first) => read_frame_rest(first, r, max_frame).map(Some),
-    }
+    // No buffer outlives this call, so nothing may be read ahead.
+    let mut reader = FrameReader {
+        exact: true,
+        ..FrameReader::default()
+    };
+    let frame = reader.read_frame(r, max_frame)?;
+    Ok(frame.map(|(opcode, payload)| (opcode, payload.to_vec())))
 }
 
 #[cfg(test)]
@@ -823,6 +923,214 @@ mod tests {
             read_frame(&mut short.to_vec().as_slice(), DEFAULT_MAX_FRAME),
             Err(ProtoError::Io(_))
         ));
+    }
+
+    /// A `Write` that counts the `write` calls it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        wire: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.wire.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A `Read` that delivers one scripted chunk per `read` call, then
+    /// EOF, and counts the calls.
+    struct Chunks {
+        chunks: std::collections::VecDeque<Vec<u8>>,
+        reads: usize,
+    }
+
+    impl Chunks {
+        fn new(chunks: impl IntoIterator<Item = Vec<u8>>) -> Chunks {
+            Chunks {
+                chunks: chunks.into_iter().collect(),
+                reads: 0,
+            }
+        }
+    }
+
+    impl Read for Chunks {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let Some(chunk) = self.chunks.pop_front() else {
+                return Ok(0);
+            };
+            assert!(
+                chunk.len() <= buf.len(),
+                "the reader offered too little room"
+            );
+            buf[..chunk.len()].copy_from_slice(&chunk);
+            Ok(chunk.len())
+        }
+    }
+
+    fn count_frame(pattern: &[u8]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        let request = Request::Count {
+            pattern: pattern.to_vec(),
+        };
+        request.encode_frame(&mut wire, DEFAULT_MAX_FRAME).unwrap();
+        wire
+    }
+
+    #[test]
+    fn framing_one_write_per_frame() {
+        let request = Request::Insert {
+            doc_id: 7,
+            bytes: vec![0xAB; 10_000],
+        };
+        let response = Response::Occurrences(vec![(1, 2), (3, 4)]);
+        let mut w = CountingWriter::default();
+        request.write_frame(&mut w, DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!(w.writes, 1);
+        response.write_frame(&mut w, DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!(w.writes, 2);
+        write_frame(&mut w, 0x03, b"raw payload", DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!(w.writes, 3);
+
+        // What was written is the three frames, back to back.
+        let mut wire = w.wire.as_slice();
+        let (opcode, payload) = read_frame(&mut wire, DEFAULT_MAX_FRAME).unwrap().unwrap();
+        assert_eq!(Request::decode(opcode, &payload).unwrap(), request);
+        let (opcode, payload) = read_frame(&mut wire, DEFAULT_MAX_FRAME).unwrap().unwrap();
+        assert_eq!(Response::decode(opcode, &payload).unwrap(), response);
+        let (opcode, payload) = read_frame(&mut wire, DEFAULT_MAX_FRAME).unwrap().unwrap();
+        assert_eq!((opcode, payload.as_slice()), (0x03, &b"raw payload"[..]));
+        assert!(read_frame(&mut wire, DEFAULT_MAX_FRAME).unwrap().is_none());
+    }
+
+    #[test]
+    fn framing_survives_one_byte_per_read() {
+        let wire = [count_frame(b"first"), count_frame(b"second")].concat();
+        let mut source = Chunks::new(wire.iter().map(|&b| vec![b]));
+        let mut frames = FrameReader::default();
+        for pattern in [&b"first"[..], b"second"] {
+            let (opcode, payload) = frames
+                .read_frame(&mut source, DEFAULT_MAX_FRAME)
+                .unwrap()
+                .expect("a frame");
+            let pattern = pattern.to_vec();
+            assert_eq!(
+                Request::decode(opcode, payload).unwrap(),
+                Request::Count { pattern }
+            );
+        }
+        assert_eq!(source.reads, wire.len());
+        assert!(frames
+            .read_frame(&mut source, DEFAULT_MAX_FRAME)
+            .unwrap()
+            .is_none());
+    }
+
+    #[test]
+    fn framing_serves_a_pipelined_frame_from_the_buffer() {
+        // One `read` delivers the first frame, the second, and the head
+        // of a third; a later `read` delivers the rest of the third.
+        let (a, b, c) = (count_frame(b"a"), count_frame(b"bb"), count_frame(b"ccc"));
+        let first = [&a[..], &b[..], &c[..5]].concat();
+        let mut source = Chunks::new([first, c[5..].to_vec()]);
+        let mut frames = FrameReader::default();
+
+        let (_, payload) = frames
+            .read_frame(&mut source, DEFAULT_MAX_FRAME)
+            .unwrap()
+            .unwrap();
+        assert_eq!(payload, &a[HEADER_LEN..a.len() - 4]);
+        assert_eq!(source.reads, 1, "a small frame is one read");
+        assert!(frames.await_frame(&mut source).unwrap());
+        assert_eq!(source.reads, 1, "the next frame has already arrived");
+
+        let (_, payload) = frames
+            .read_frame(&mut source, DEFAULT_MAX_FRAME)
+            .unwrap()
+            .unwrap();
+        assert_eq!(payload, &b[HEADER_LEN..b.len() - 4]);
+        assert_eq!(source.reads, 1, "served from the buffer, no read");
+
+        let (_, payload) = frames
+            .read_frame(&mut source, DEFAULT_MAX_FRAME)
+            .unwrap()
+            .unwrap();
+        assert_eq!(payload, &c[HEADER_LEN..c.len() - 4]);
+        assert_eq!(source.reads, 2);
+
+        // EOF between frames is a clean close.
+        assert!(frames
+            .read_frame(&mut source, DEFAULT_MAX_FRAME)
+            .unwrap()
+            .is_none());
+    }
+
+    #[test]
+    fn framing_eof_mid_frame_is_a_typed_error() {
+        let wire = count_frame(b"cut short");
+        for cut in [
+            1,
+            HEADER_LEN - 1,
+            HEADER_LEN,
+            HEADER_LEN + 3,
+            wire.len() - 1,
+        ] {
+            let mut source = Chunks::new([wire[..cut].to_vec()]);
+            match FrameReader::default().read_frame(&mut source, DEFAULT_MAX_FRAME) {
+                Err(ProtoError::Io(e)) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "cut {cut}")
+                }
+                other => panic!("cut {cut}: expected an EOF error, got {other:?}"),
+            }
+            assert!(matches!(
+                read_frame(&mut &wire[..cut], DEFAULT_MAX_FRAME),
+                Err(ProtoError::Io(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn framing_rejects_an_over_cap_length_before_growing_the_buffer() {
+        let mut header = count_frame(b"")[..HEADER_LEN].to_vec();
+        header[8..12].copy_from_slice(&(DEFAULT_MAX_FRAME + 1).to_le_bytes());
+        // The source holds nothing after the header: a reader that went
+        // on to fetch the payload would report EOF, not the cap.
+        let mut source = Chunks::new([header]);
+        let mut frames = FrameReader::default();
+        assert!(matches!(
+            frames.read_frame(&mut source, DEFAULT_MAX_FRAME),
+            Err(ProtoError::FrameTooLarge { len, max: DEFAULT_MAX_FRAME }) if len == DEFAULT_MAX_FRAME + 1
+        ));
+        assert_eq!(source.reads, 1);
+        assert_eq!(frames.buf.len(), READ_AHEAD, "no room made for the payload");
+    }
+
+    #[test]
+    fn framing_releases_a_large_frame_buffer() {
+        let big = count_frame(&vec![b'x'; 10 * READ_AHEAD]);
+        let mut source = Chunks::new([
+            big[..READ_AHEAD].to_vec(),
+            big[READ_AHEAD..].to_vec(),
+            count_frame(b"small"),
+        ]);
+        let mut frames = FrameReader::default();
+        let (_, payload) = frames
+            .read_frame(&mut source, DEFAULT_MAX_FRAME)
+            .unwrap()
+            .unwrap();
+        assert_eq!(payload.len(), 8 + 10 * READ_AHEAD);
+        assert_eq!(frames.buf.len(), big.len());
+        frames
+            .read_frame(&mut source, DEFAULT_MAX_FRAME)
+            .unwrap()
+            .unwrap();
+        assert_eq!(frames.buf.len(), READ_AHEAD);
     }
 
     #[test]

@@ -27,12 +27,13 @@
 //! a close when it is not.
 
 use crate::proto::{
-    self, RemoteHealth, RemoteStats, Request, Response, WireError, DEFAULT_MAX_FRAME,
+    self, FrameReader, RemoteHealth, RemoteStats, Request, Response, WireError, DEFAULT_MAX_FRAME,
 };
 use dyndex_core::StaticIndex;
 use dyndex_obs::{Counter, DeadlineReader, Gauge, Histogram, Span, SpanKind, Unit};
 use dyndex_store::{HealthStatus, ShardedStore, StoreOptions};
 use std::collections::HashMap;
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -361,7 +362,9 @@ fn accept_loop<I: StaticIndex + Sync>(
 }
 
 /// One connection's request/response loop. Returns when the peer closes,
-/// a deadline fires, framing desyncs, or shutdown cuts the socket.
+/// a deadline fires, framing desyncs, or shutdown cuts the socket. Owns
+/// the connection's buffers: `frames` receives (and keeps what a `read`
+/// delivered past the current frame), `out` is the reply, one `write_all`.
 fn serve_connection<I: StaticIndex + Sync>(
     conn: &TcpStream,
     store: &ShardedStore<I>,
@@ -370,31 +373,26 @@ fn serve_connection<I: StaticIndex + Sync>(
 ) {
     let _ = conn.set_write_timeout(Some(options.write_timeout));
     let _ = conn.set_nodelay(true);
+    let max_frame = options.max_frame_len;
+    let (mut frames, mut out) = (FrameReader::default(), Vec::new());
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        // Phase 1: wait out the idle gap for a frame's first byte.
-        let first = {
-            let Ok(mut idle) = DeadlineReader::new(conn, options.idle_timeout) else {
-                return;
-            };
-            match proto::read_first_byte(&mut idle) {
-                Ok(None) => return, // clean close
-                Err(_) => return,   // idle timeout or reset
-                Ok(Some(byte)) => byte,
-            }
-        };
+        // Phase 1: wait out the idle gap for a frame's first byte (a
+        // `read` for the previous frame may already have delivered it).
+        let mut idle = DeadlineReader::new(conn, options.idle_timeout);
+        match frames.await_frame(&mut idle) {
+            Ok(true) => {}
+            _ => return, // clean close, idle timeout or reset
+        }
         // Phase 2: the rest of the frame under the (much tighter) frame
-        // deadline — the slow-loris defense.
-        let frame = {
-            let Ok(mut reader) = DeadlineReader::new(conn, options.frame_timeout) else {
-                return;
-            };
-            proto::read_frame_rest(first, &mut reader, options.max_frame_len)
-        };
-        let (opcode, payload) = match frame {
-            Ok(frame) => frame,
+        // deadline — the slow-loris defense. That first `read` normally
+        // brought a small frame whole, and this phase reads nothing.
+        let mut reader = DeadlineReader::new(conn, options.frame_timeout);
+        let (opcode, payload) = match frames.read_frame(&mut reader, max_frame) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return,
             Err(err) => {
                 // Framing is broken (desync, timeout, oversize): answer
                 // with the typed error if the socket still writes, then
@@ -405,13 +403,13 @@ fn serve_connection<I: StaticIndex + Sync>(
                 let reply = Response::Error(WireError::Malformed {
                     detail: err.to_string(),
                 });
-                let _ = reply.write_frame(&mut &*conn, options.max_frame_len);
+                let _ = reply.write_frame(&mut &*conn, max_frame);
                 return;
             }
         };
         // The frame is intact; a payload that does not decode leaves the
         // stream in sync, so the connection survives the typed error.
-        let response = match Request::decode(opcode, &payload) {
+        let response = match Request::decode(opcode, payload) {
             Ok(request) => handle_request(store, shared, options, request),
             Err(err) => {
                 if let Some(m) = &shared.metrics {
@@ -426,9 +424,10 @@ fn serve_connection<I: StaticIndex + Sync>(
                 }
             }
         };
-        match response.write_frame(&mut &*conn, options.max_frame_len) {
-            Ok(()) => {}
-            // Rejected before a byte reached the socket, so the stream is
+        out.clear();
+        out.shrink_to(proto::READ_AHEAD);
+        let encoded = match response.encode_frame(&mut out, max_frame) {
+            // Refused before a byte reached the socket, so the stream is
             // still in sync: say why and keep the connection.
             Err(proto::ProtoError::FrameTooLarge { len, max }) => {
                 let reply = Response::Error(WireError::Internal {
@@ -436,14 +435,12 @@ fn serve_connection<I: StaticIndex + Sync>(
                         "reply of {len} bytes exceeds the {max}-byte frame cap; use find_limit"
                     ),
                 });
-                if reply
-                    .write_frame(&mut &*conn, options.max_frame_len)
-                    .is_err()
-                {
-                    return;
-                }
+                reply.encode_frame(&mut out, max_frame)
             }
-            Err(_) => return,
+            encoded => encoded,
+        };
+        if encoded.is_err() || (&mut &*conn).write_all(&out).is_err() {
+            return;
         }
     }
 }

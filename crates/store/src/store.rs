@@ -518,24 +518,23 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
     /// The only read path, shared by [`ShardedStore::count`],
     /// [`ShardedStore::find`] and [`ShardedStore::find_limit`]: visits
     /// the shards in order **on the calling thread**, folding each
-    /// published view's answer into `R` with `per_view`, then `merge`s
-    /// (returning the result count for the root span). A read takes no
-    /// lock and enters no worker queue, so it proceeds while a writer
-    /// holds — or has poisoned — a shard, and a panic inside `per_view`
-    /// unwinds straight into the caller. With telemetry on, each visit
-    /// records its `query_execute` stripe and a shard-execute flight span
-    /// under the query's root.
+    /// published view's answer into `R` with `per_view` until it returns
+    /// `false` (this shard and those after it were not needed), then
+    /// `merge`s (returning the result count for the root span). A read
+    /// takes no lock and enters no worker queue, so it proceeds while a
+    /// writer holds — or has poisoned — a shard, and a panic inside
+    /// `per_view` unwinds straight into the caller. With telemetry on,
+    /// each visit records its `query_execute` stripe and a shard-execute
+    /// flight span under the query's root.
     fn query_views<R: Default>(
         &self,
         kind: SpanKind,
-        per_view: impl Fn(&ShardView<I>, &mut R),
+        per_view: impl Fn(&ShardView<I>, &mut R) -> bool,
         merge: impl FnOnce(&mut R) -> usize,
     ) -> R {
         let mut out = R::default();
         let Some(t) = self.telemetry.as_deref() else {
-            for slot in self.shards.iter() {
-                per_view(&slot.view(), &mut out);
-            }
+            let _ = self.shards.iter().all(|s| per_view(&s.view(), &mut out));
             merge(&mut out);
             return out;
         };
@@ -545,7 +544,9 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
         for (shard, slot) in self.shards.iter().enumerate() {
             let shard_start = t.flight.now_nanos();
             let view = slot.view();
-            per_view(&view, &mut out);
+            if !per_view(&view, &mut out) {
+                break;
+            }
             let execute_nanos = t.flight.now_nanos() - shard_start;
             t.query_execute.record_at(shard, execute_nanos);
             let epoch = view.epoch();
@@ -1113,7 +1114,10 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
     pub fn count(&self, pattern: &[u8]) -> usize {
         self.query_views(
             SpanKind::Count,
-            |view, total: &mut usize| *total += view.count(pattern),
+            |view, total: &mut usize| {
+                *total += view.count(pattern);
+                true
+            },
             |total| *total,
         )
     }
@@ -1140,7 +1144,10 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
     pub fn find(&self, pattern: &[u8]) -> Vec<Occurrence> {
         self.query_views(
             SpanKind::Find,
-            |view, hits: &mut Vec<Occurrence>| hits.extend(view.find(pattern)),
+            |view, hits: &mut Vec<Occurrence>| {
+                hits.extend(view.find(pattern));
+                true
+            },
             |hits| {
                 hits.sort_unstable();
                 hits.len()
@@ -1148,15 +1155,16 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
         )
     }
 
-    /// Up to `limit` occurrences of `pattern` (sorted). Each shard's work
-    /// is capped at `limit` located occurrences
-    /// ([`Transform2Index::find_limit`]), so total work is
-    /// `O(num_shards · (range-finding + limit · tlocate))`. Which
-    /// occurrences are returned depends on shard-internal layout at query
-    /// time: deterministic under [`RebuildMode::Inline`] with manual
-    /// maintenance, but with background rebuilds the truncation choice
-    /// can vary with install timing (the underlying occurrence set is
-    /// always exact — `limit >= count` returns everything).
+    /// Any `min(limit, count)` distinct occurrences of `pattern`, sorted
+    /// by `(doc, offset)`. **Which** ones is unspecified — not a prefix
+    /// of [`ShardedStore::find`]: they are drawn shard by shard, each
+    /// shard asked ([`Transform2Index::find_limit`]) only for the budget
+    /// the shards before it left unspent and none once it is spent, so
+    /// work is `O(shards visited · range-finding + limit · tlocate)`.
+    /// Within a shard the choice follows its layout at query time:
+    /// deterministic under [`RebuildMode::Inline`] with manual
+    /// maintenance, varying with install timing under background
+    /// rebuilds (`limit >= count` always returns everything).
     ///
     /// # Examples
     ///
@@ -1174,10 +1182,13 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
     pub fn find_limit(&self, pattern: &[u8], limit: usize) -> Vec<Occurrence> {
         self.query_views(
             SpanKind::FindLimit,
-            |view, hits: &mut Vec<Occurrence>| hits.extend(view.find_limit(pattern, limit)),
+            |view, hits: &mut Vec<Occurrence>| {
+                let unspent = limit - hits.len();
+                hits.extend(view.find_limit(pattern, unspent));
+                unspent > 0
+            },
             |hits| {
                 hits.sort_unstable();
-                hits.truncate(limit);
                 hits.len()
             },
         )
@@ -1726,13 +1737,41 @@ mod tests {
         store.insert_batch(&docs(50)).unwrap();
         let all = store.find(b"needle");
         assert_eq!(all.len(), 50);
-        for k in [0usize, 1, 13, 50, 200] {
+        let per_shard: Vec<usize> = (0..4)
+            .map(|s| store.shard_view(s).count(b"needle"))
+            .collect();
+        for k in [0usize, 1, 13, 49, 50, 51, 200] {
             let capped = store.find_limit(b"needle", k);
             assert_eq!(capped.len(), k.min(50), "limit {k}");
-            assert!(capped.windows(2).all(|w| w[0] < w[1]), "sorted, limit {k}");
+            assert!(
+                capped.windows(2).all(|w| w[0] < w[1]),
+                "sorted and distinct, limit {k}"
+            );
             for occ in &capped {
                 assert!(all.contains(occ), "phantom occurrence at limit {k}");
             }
+            // The budget is shared: shards are visited in order, only
+            // until the ones before have spent it.
+            let mut unspent = k;
+            let visited: Vec<usize> = (0..4)
+                .take_while(|&s| {
+                    let visit = unspent > 0;
+                    unspent = unspent.saturating_sub(per_shard[s]);
+                    visit
+                })
+                .collect();
+            let spans = store.flight_spans();
+            let root = spans
+                .iter()
+                .rfind(|s| s.kind == SpanKind::FindLimit)
+                .expect("telemetry on by default");
+            assert_eq!(root.detail, capped.len() as u64, "limit {k}");
+            let executed: Vec<usize> = spans
+                .iter()
+                .filter(|s| s.parent == root.id && s.kind == SpanKind::ShardExecute)
+                .map(|s| s.shard.expect("execute spans carry their shard"))
+                .collect();
+            assert_eq!(executed, visited, "shards visited at limit {k}");
         }
     }
 

@@ -86,9 +86,33 @@ struct WtNode {
     /// Child arena indices (`usize::MAX` = leaf side ends here).
     left: usize,
     right: usize,
+    /// The symbol a leaf side (0 = left, 1 = right) stands for; unused
+    /// where that side has a child.
+    leaf: [u32; 2],
 }
 
 const NO_CHILD: usize = usize::MAX;
+
+/// Writes each coded symbol onto the leaf side its code ends at. `Err`
+/// when a code's path leaves the tree or ends at a child — codes and
+/// tree do not belong together.
+fn label_leaves(codes: &[Code], nodes: &mut [WtNode], root: usize) -> Result<(), String> {
+    for (sym, code) in codes.iter().enumerate().filter(|(_, c)| c.len > 0) {
+        let mut node = root;
+        for d in (0..code.len).rev() {
+            let n = nodes.get_mut(node).ok_or("huffman code leaves the tree")?;
+            let bit = (code.bits >> d) & 1 == 1;
+            node = if bit { n.right } else { n.left };
+            if d == 0 {
+                if node != NO_CHILD {
+                    return Err("huffman code ends at an internal node".into());
+                }
+                n.leaf[bit as usize] = sym as u32;
+            }
+        }
+    }
+    Ok(())
+}
 
 /// A Huffman-shaped wavelet tree over `u32` symbols.
 ///
@@ -97,8 +121,6 @@ const NO_CHILD: usize = usize::MAX;
 #[derive(Clone, Debug)]
 pub struct HuffmanWavelet {
     codes: Vec<Code>,
-    /// Reverse map `(bits, len) -> symbol` for O(1) decode in `access`.
-    decode_map: std::collections::HashMap<(u64, u32), u32>,
     nodes: Vec<WtNode>,
     root: usize,
     len: usize,
@@ -117,7 +139,6 @@ impl HuffmanWavelet {
         if seq.is_empty() {
             return HuffmanWavelet {
                 codes: vec![Code::default(); sigma as usize],
-                decode_map: std::collections::HashMap::new(),
                 nodes: Vec::new(),
                 root: NO_CHILD,
                 len: 0,
@@ -128,7 +149,6 @@ impl HuffmanWavelet {
         if let ShapeNode::Leaf { sym } = shape[shape_root] {
             return HuffmanWavelet {
                 codes,
-                decode_map: std::collections::HashMap::new(),
                 nodes: Vec::new(),
                 root: NO_CHILD,
                 len: seq.len(),
@@ -168,6 +188,7 @@ impl HuffmanWavelet {
                 bits: RankSelect::new(bv),
                 left: NO_CHILD,
                 right: NO_CHILD,
+                leaf: [0; 2],
             });
             built[snode] = idx;
             if matches!(shape[l], ShapeNode::Internal { .. }) {
@@ -187,17 +208,12 @@ impl HuffmanWavelet {
                 nodes[bidx].right = built[right];
             }
         }
-        let decode_map = codes
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.len > 0)
-            .map(|(sym, c)| ((c.bits, c.len), sym as u32))
-            .collect();
+        let root = built[shape_root];
+        label_leaves(&codes, &mut nodes, root).expect("the codes were read off this tree");
         HuffmanWavelet {
             codes,
-            decode_map,
             nodes,
-            root: built[shape_root],
+            root,
             len: seq.len(),
             single: None,
         }
@@ -227,39 +243,32 @@ impl HuffmanWavelet {
 
     /// Symbol at position `i`.
     pub fn access(&self, i: usize) -> u32 {
+        self.access_rank(i).0
+    }
+
+    /// `(access(i), rank(access(i), i))` in one descent: the walk that
+    /// finds the symbol's leaf has already counted its rank.
+    pub fn access_rank(&self, i: usize) -> (u32, usize) {
         assert!(i < self.len, "index {i} out of range {}", self.len);
         if let Some(s) = self.single {
-            return s;
+            return (s, i);
         }
         let mut node = self.root;
         let mut i = i;
-        let mut bits = 0u64;
-        let mut len = 0u32;
         loop {
             let n = &self.nodes[node];
             let bit = n.bits.get(i);
-            bits = (bits << 1) | bit as u64;
-            len += 1;
             let (child, ni) = if bit {
                 (n.right, n.bits.rank1(i))
             } else {
                 (n.left, n.bits.rank0(i))
             };
             if child == NO_CHILD {
-                // Reached a leaf: decode by looking up the code.
-                return self.decode(bits, len);
+                return (n.leaf[bit as usize], ni);
             }
             node = child;
             i = ni;
         }
-    }
-
-    fn decode(&self, bits: u64, len: u32) -> u32 {
-        // Codes are prefix-free, so (bits, len) identifies the symbol.
-        *self
-            .decode_map
-            .get(&(bits, len))
-            .unwrap_or_else(|| unreachable!("prefix code not found for bits={bits:#b} len={len}"))
     }
 
     /// Number of occurrences of `sym` in `[0, i)`.
@@ -317,8 +326,8 @@ impl HuffmanWavelet {
         (&self.codes, nodes, self.root, self.single)
     }
 
-    /// Reassembles from parts (persistence decode path); the decode map
-    /// is re-derived from the code table rather than trusted.
+    /// Reassembles from parts (persistence decode path); the leaf
+    /// symbols are re-derived from the code table rather than stored.
     ///
     /// Returns `Err` (never panics) on structurally inconsistent input —
     /// the persistence layer surfaces this as a typed corruption error.
@@ -362,19 +371,18 @@ impl HuffmanWavelet {
         } else if single.is_none() && len != 0 {
             return Err("huffman non-empty sequence without a tree".into());
         }
-        let decode_map = codes
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.len > 0)
-            .map(|(sym, c)| ((c.bits, c.len), sym as u32))
-            .collect();
-        let nodes = nodes
+        let mut nodes: Vec<WtNode> = nodes
             .into_iter()
-            .map(|(bits, left, right)| WtNode { bits, left, right })
+            .map(|(bits, left, right)| WtNode {
+                bits,
+                left,
+                right,
+                leaf: [0; 2],
+            })
             .collect();
+        label_leaves(&codes, &mut nodes, root)?;
         Ok(HuffmanWavelet {
             codes,
-            decode_map,
             nodes,
             root,
             len,
@@ -429,7 +437,6 @@ impl HuffmanWavelet {
 impl SpaceUsage for HuffmanWavelet {
     fn heap_bytes(&self) -> usize {
         self.codes.heap_bytes()
-            + self.decode_map.len() * (std::mem::size_of::<(u64, u32)>() + 4)
             + self
                 .nodes
                 .iter()

@@ -28,6 +28,13 @@ pub trait Sequence: SpaceUsage + Clone {
     /// Occurrences of `sym` in `[0, i)`.
     fn rank(&self, sym: u32, i: usize) -> usize;
 
+    /// `(access(i), rank(access(i), i))` — one FM-index LF step; in one
+    /// descent where the `access` walk already counts that rank.
+    fn access_rank(&self, i: usize) -> (u32, usize) {
+        let sym = self.access(i);
+        (sym, self.rank(sym, i))
+    }
+
     /// Position of the `k`-th occurrence of `sym`.
     fn select(&self, sym: u32, k: usize) -> Option<usize>;
 }
@@ -62,6 +69,9 @@ impl Sequence for HuffmanWavelet {
     }
     fn rank(&self, sym: u32, i: usize) -> usize {
         HuffmanWavelet::rank(self, sym, i)
+    }
+    fn access_rank(&self, i: usize) -> (u32, usize) {
+        HuffmanWavelet::access_rank(self, i)
     }
     fn select(&self, sym: u32, k: usize) -> Option<usize> {
         HuffmanWavelet::select(self, sym, k)

@@ -88,6 +88,28 @@ proptest! {
     }
 
     #[test]
+    fn access_rank_is_access_then_rank(
+        // Every case also checks the empty sequence and a one-symbol one
+        // (the degenerate Huffman tree).
+        sigma in 1u32..20,
+        raw in proptest::collection::vec(any::<u32>(), 0..400),
+    ) {
+        let seq: Vec<u32> = raw.iter().map(|&r| r % sigma).collect();
+        fn check<S: Sequence>(seq: &[u32], sigma: u32) -> Result<(), TestCaseError> {
+            let s = S::build(seq, sigma);
+            for (i, &sym) in seq.iter().enumerate() {
+                prop_assert_eq!(s.access_rank(i), (s.access(i), s.rank(s.access(i), i)));
+                prop_assert_eq!(s.access_rank(i).0, sym);
+            }
+            Ok(())
+        }
+        for seq in [&seq[..], &[], &[sigma - 1; 7]] {
+            check::<WaveletMatrix>(seq, sigma)?;
+            check::<HuffmanWavelet>(seq, sigma)?;
+        }
+    }
+
+    #[test]
     fn one_bit_reporter_matches_model(
         len in 1usize..3000,
         zeros in proptest::collection::vec(any::<proptest::sample::Index>(), 0..200),

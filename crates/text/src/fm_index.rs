@@ -224,8 +224,15 @@ impl<S: Sequence> FmIndex<S> {
     /// `T[p-1..]`.
     #[inline]
     pub fn lf(&self, row: usize) -> usize {
-        let sym = self.bwt.access(row);
-        self.c[sym as usize] + self.bwt.rank(sym, row)
+        self.lf_symbol(row).1
+    }
+
+    /// [`FmIndex::lf`] together with the symbol it stepped over
+    /// (`T[p-1]`), from one descent of the BWT sequence.
+    #[inline]
+    fn lf_symbol(&self, row: usize) -> (u32, usize) {
+        let (sym, rank) = self.bwt.access_rank(row);
+        (sym, self.c[sym as usize] + rank)
     }
 
     /// Backward search: the suffix-array interval `[l, r)` of suffixes
@@ -334,9 +341,9 @@ impl<S: Sequence> FmIndex<S> {
             self.suffix_rank(b)
         };
         while k > a {
-            let sym = self.bwt.access(row);
+            let (sym, next) = self.lf_symbol(row);
             out[k - 1 - a] = sym;
-            row = self.c[sym as usize] + self.bwt.rank(sym, row);
+            row = next;
             k -= 1;
         }
         out
@@ -417,9 +424,9 @@ impl<S: Sequence> FmIndex<S> {
         let mut pos = self.n - 1;
         let mut bytes_rev: Vec<u32> = Vec::with_capacity(self.n - 1);
         while pos > 0 {
-            let sym = self.bwt.access(row);
+            let (sym, next) = self.lf_symbol(row);
             bytes_rev.push(sym);
-            row = self.c[sym as usize] + self.bwt.rank(sym, row);
+            row = next;
             pos -= 1;
         }
         bytes_rev.reverse();
