@@ -14,7 +14,7 @@
 //!   maintenance running),
 //! * readers-under-sustained-writes: reader throughput measured twice —
 //!   idle writers vs a thread streaming batched inserts — proving the
-//!   epoch-published view read path keeps readers off the shard locks
+//!   published-view read path keeps readers off the shard locks
 //!   (the retained fraction is the table's last column).
 //!
 //! Expected shape: bulk-load and churn scale up with shards (smaller
@@ -61,11 +61,11 @@ fn main() {
     readers_under_writes(&docs, &patterns, &churn);
 }
 
-/// Readers-under-sustained-writes: quantifies the lock-free read path.
+/// Readers-under-sustained-writes: quantifies the published-view read path.
 /// For each shard count, reader throughput is measured over the same
 /// wall-clock window twice — once with writers idle, once while a writer
 /// thread streams batched inserts into the same shards. Queries answer
-/// from each shard's epoch-published view (never the shard `RwLock`), so
+/// from each shard's published view (never the shard's index `RwLock`), so
 /// the sustained-writes column must retain most of the idle throughput
 /// instead of collapsing to writer-release pacing.
 fn readers_under_writes(docs: &[(u64, Vec<u8>)], patterns: &[Vec<u8>], churn: &[(u64, Vec<u8>)]) {
@@ -143,7 +143,7 @@ fn readers_under_writes(docs: &[(u64, Vec<u8>)], patterns: &[Vec<u8>], churn: &[
     }
     println!();
     println!("shape check: readers never stall on the writer's lock — they load the");
-    println!("shard's published view with one atomic op — so the retained fraction");
+    println!("shard's published view with one Arc clone — so the retained fraction");
     println!("reflects CPU/memory-bandwidth sharing with the writer threads, not");
     println!("lock waits: reader progress is continuous even mid-install, where the");
     println!("lock-based read path serialized readers behind every rebuild install.");

@@ -11,7 +11,7 @@
 //! machinery, and hands the finished level to the caller, who installs
 //! it through the normal `Stamped`/epoch path
 //! ([`Transform2Index::install_bulk_level`](crate::Transform2Index::install_bulk_level))
-//! so snapshots, incremental deltas, and lock-free published views all
+//! so snapshots, incremental deltas, and published views all
 //! keep working unchanged.
 //!
 //! ```

@@ -1762,8 +1762,8 @@ impl<I: StaticIndex> ViewStructure<I> {
 
 /// An immutable, shareable snapshot of one [`Transform2Index`]'s
 /// queryable state — the unit the sharded store (`dyndex-store`)
-/// publishes through an atomically-swapped pointer so readers never take
-/// the shard lock.
+/// publishes as an `Arc` behind its own lock so readers never take the
+/// shard's index lock.
 ///
 /// A view holds `Arc` handles to every static structure (levels `C_i`,
 /// locked copies `L_i`, temp indexes, tops `T_1..T_g`, `L'_r`) plus a

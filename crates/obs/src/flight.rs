@@ -1,7 +1,7 @@
 //! The flight recorder: a bounded lock-free buffer of hierarchical
 //! [`Span`]s covering foreground queries *and* every kind of background
 //! work (rebuilds, installs, WAL appends and fsyncs, snapshot freezes
-//! and serializations, epoch-GC passes).
+//! and serializations, bulk builds).
 //!
 //! Every span carries a `span_id`/`parent_id` pair, so a query's root
 //! span has one execute *child* per shard visited, and a background
@@ -61,8 +61,6 @@ pub enum SpanKind {
     ShardFreeze,
     /// Child of a snapshot: one shard's changed levels serialized.
     ShardSerialize,
-    /// One epoch-reclamation pass over retired shard views.
-    EpochGc,
     /// One remote request served by the wire-protocol server (root
     /// span; the query it triggers contributes its own child spans).
     ServeRequest,
@@ -72,7 +70,8 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    /// Stable wire code (used by the lock-free slot encoding).
+    /// Stable wire code (used by the lock-free slot encoding). Codes 4
+    /// and 14 belonged to removed kinds and are never reused.
     fn code(self) -> u64 {
         match self {
             SpanKind::Count => 1,
@@ -87,7 +86,6 @@ impl SpanKind {
             SpanKind::Snapshot => 11,
             SpanKind::ShardFreeze => 12,
             SpanKind::ShardSerialize => 13,
-            SpanKind::EpochGc => 14,
             SpanKind::ServeRequest => 15,
             SpanKind::BulkBuild => 16,
         }
@@ -107,7 +105,6 @@ impl SpanKind {
             11 => SpanKind::Snapshot,
             12 => SpanKind::ShardFreeze,
             13 => SpanKind::ShardSerialize,
-            14 => SpanKind::EpochGc,
             15 => SpanKind::ServeRequest,
             16 => SpanKind::BulkBuild,
             _ => return None,
@@ -129,7 +126,6 @@ impl SpanKind {
             SpanKind::Snapshot => "snapshot",
             SpanKind::ShardFreeze => "freeze",
             SpanKind::ShardSerialize => "serialize",
-            SpanKind::EpochGc => "epoch_gc",
             SpanKind::ServeRequest => "serve",
             SpanKind::BulkBuild => "bulk_build",
         }
@@ -575,7 +571,6 @@ mod tests {
             SpanKind::Snapshot,
             SpanKind::ShardFreeze,
             SpanKind::ShardSerialize,
-            SpanKind::EpochGc,
             SpanKind::ServeRequest,
             SpanKind::BulkBuild,
         ] {

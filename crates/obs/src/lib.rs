@@ -21,7 +21,7 @@
 //!   covering foreground queries (a root carrying kind, duration, result
 //!   count and the view epoch range served from, one execute child per
 //!   shard) *and* background work — rebuilds, installs, WAL
-//!   appends/fsyncs, snapshot freezes/serializations, epoch-GC — in a
+//!   appends/fsyncs, snapshot freezes/serializations, bulk builds — in a
 //!   wait-free seqlock ring, with a threshold-gated slow-op log that
 //!   keeps full trees for slow operations.
 //! - **Health** ([`HealthReport`]): the typed Ok/Degraded/Unhealthy verdict

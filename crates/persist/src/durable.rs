@@ -190,7 +190,8 @@ where
     }
 
     /// Inserts a batch, logging each shard's group to its WAL before
-    /// applying it; groups for different shards proceed in parallel.
+    /// applying it as one store batch (one lock acquisition, one view
+    /// publish); groups for different shards proceed in parallel.
     ///
     /// # Panics
     /// Panics if any id is already present or duplicated in the batch
@@ -215,9 +216,7 @@ where
             let WalRecord::InsertBatch(docs) = &record else {
                 unreachable!("just constructed");
             };
-            for (id, bytes) in docs {
-                self.store.insert(*id, bytes)?;
-            }
+            self.store.insert_batch(docs)?;
             Ok(0usize)
         })
         .map(|_| ())
@@ -254,13 +253,7 @@ where
             }
             let seq = self.next_seq();
             wal.append(seq, &WalRecord::DeleteBatch(present.clone()))?;
-            let mut removed = 0usize;
-            for id in present {
-                if self.store.delete(id)?.is_some() {
-                    removed += 1;
-                }
-            }
-            Ok(removed)
+            Ok(self.store.delete_batch(&present)?)
         })
     }
 

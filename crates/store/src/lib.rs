@@ -12,12 +12,12 @@
 //! * **Routing** — documents hash-route by id across `N` shards, each an
 //!   independent [`Transform2Index`](dyndex_core::Transform2Index) behind
 //!   its own writer lock. Writers to different shards never contend.
-//! * **Lock-free reads** — every shard *publishes* its read state as an
-//!   immutable [`ShardView`](dyndex_core::ShardView) in an atomically
-//!   swapped cell with epoch-based reclamation. Queries load the current
-//!   view with one atomic op and never acquire the shard lock, so readers
-//!   proceed even while a writer holds a shard — and keep answering from
-//!   the last published view if a writer panics ([`ShardPoisoned`]).
+//! * **Reads off the writer lock** — every shard *publishes* its read
+//!   state as an immutable [`ShardView`](dyndex_core::ShardView) behind
+//!   a `RwLock<Arc<_>>` held only for an `Arc` clone or a swap. Queries
+//!   never acquire the shard's index lock, so readers proceed even while
+//!   a writer holds a shard — and keep answering from the last published
+//!   view if a writer panics ([`ShardPoisoned`]).
 //! * **One read path** — [`ShardedStore::count`] / [`ShardedStore::find`]
 //!   / [`ShardedStore::find_limit`] visit every shard's view in shard
 //!   order *on the calling thread* and merge deterministically
@@ -27,12 +27,13 @@
 //!   hand-off and no policy between the caller and the index.
 //! * **Batching** — [`ShardedStore::insert_batch`] /
 //!   [`ShardedStore::delete_batch`] group documents by shard and apply
-//!   each shard's group on its own thread, one lock acquisition per shard.
+//!   each group under one lock acquisition and one view publish — a lone
+//!   group on the caller, several each on its own thread.
 //! * **Bulk ingestion** — [`ShardedStore::ingest`] streams a corpus
 //!   through the static-construction fast path: documents route by
 //!   shard, cut into bounded chunks, SA-IS-build directly into static
 //!   bulk levels off the shard lock (on the resident workers when a
-//!   pool exists), and install through the normal epoch-publish path —
+//!   pool exists), and install through the normal view-publish path —
 //!   skipping the `C0` buffer and every cascade merge, while queries
 //!   keep answering from published views throughout.
 //! * **Maintenance** — Transformation 2 rebuilds sub-collections on
@@ -85,7 +86,6 @@
 //! store.flush(); // drain worker queues + install all rebuilds
 //! ```
 
-mod epoch;
 mod health;
 mod pool;
 mod shard;

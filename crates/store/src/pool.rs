@@ -7,8 +7,9 @@
 //! needed for is work that must not ride on a foreground operation:
 //!
 //! - **Idle-tick installs.** When a tick has elapsed since its last
-//!   drain a worker polls its shard with `try_write` and installs any
-//!   finished background rebuild jobs — installs stay off the foreground
+//!   drain, and the shard's published view counts jobs in flight, a
+//!   worker polls its shard with `try_write` and installs any finished
+//!   background rebuild jobs — installs stay off the foreground
 //!   path without a separate scheduler thread, and a shard busy with a
 //!   writer is skipped until the next tick, never contended.
 //! - **Queued jobs** ([`WorkerPool::submit`]): bulk-ingest chunk builds,
@@ -243,11 +244,18 @@ fn worker_loop<I: StaticIndex + Sync>(
         }
         if last_maintain.elapsed() >= tick {
             last_maintain = Instant::now();
+            // No job in flight means nothing to install, and taking the
+            // guard would only republish an unchanged view. A job started
+            // under a guard is counted in the view that guard publishes,
+            // so no install is missed.
+            if slot.view().pending_jobs() == 0 {
+                continue;
+            }
             // Never contend with foreground work (and never touch a
             // shard poisoned by a panicked writer): skip unless the
             // write lock is free and healthy. Dropping the guard
             // republishes the shard's view, so installs become visible
-            // to the lock-free read path immediately.
+            // to readers immediately.
             let Some(mut index) = slot.try_write() else {
                 continue;
             };

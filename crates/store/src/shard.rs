@@ -1,29 +1,30 @@
 //! One shard's state pair: the writer-side [`Transform2Index`] behind its
-//! `RwLock`, and the reader-side [`ShardView`] published through an
-//! epoch-reclaimed [`ViewCell`].
+//! `RwLock`, and the reader-side [`ShardView`] published as an `Arc`
+//! behind a second, separate `RwLock`.
 //!
 //! The contract, enforced by construction:
 //!
-//! * **Readers never touch the lock.** Every query loads the current
-//!   view with one atomic op ([`ShardSlot::view`]) and runs against that
-//!   immutable snapshot.
+//! * **Readers never touch the index lock.** Every query clones the
+//!   current view's `Arc` under the view lock's read side
+//!   ([`ShardSlot::view`]) and runs against that immutable snapshot; the
+//!   view lock is only ever held for a refcount bump or a swap.
 //! * **Writers publish on release.** The only way to mutate a shard is
 //!   through a [`ShardGuard`]; when the guard drops after a successful
-//!   mutation it captures a fresh view and installs it with one pointer
-//!   swap — readers see either the old or the new view, never a torn
-//!   intermediate.
+//!   mutation it captures a fresh view and swaps it in under the view
+//!   lock's write side — readers see either the old or the new view,
+//!   never a torn intermediate. A replaced view is freed by whoever
+//!   drops its last `Arc`: the writer, or a reader still holding it.
 //! * **Panics never publish.** If the guard is dropped mid-unwind
 //!   (a panicked writer), no view is captured: the lock poisons as
 //!   usual, but readers keep serving the last *good* view forever, and
 //!   later writers get a typed [`ShardPoisoned`] error instead of a
 //!   cascading panic.
 
-use crate::epoch::ViewCell;
 use dyndex_core::{ShardView, StaticIndex, Transform2Index};
 use dyndex_obs::Counter;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, RwLockWriteGuard};
+use std::sync::{Arc, PoisonError, RwLock, RwLockWriteGuard};
 
 /// Error returned by writer entry points when a previous writer panicked
 /// mid-mutation in the target shard, leaving its `RwLock` poisoned. The
@@ -52,7 +53,9 @@ impl std::error::Error for ShardPoisoned {}
 pub(crate) struct ShardSlot<I: StaticIndex + Sync> {
     shard: usize,
     index: RwLock<Transform2Index<I>>,
-    view: ViewCell<ShardView<I>>,
+    /// The published view. Nothing that can panic runs under this lock,
+    /// so a poisoned guard is recovered rather than propagated.
+    view: RwLock<Arc<ShardView<I>>>,
     /// Monotonic nanos ([`crate::health::nanos_now`]) when the current
     /// write guard was taken; 0 while the lock is free. The watchdog's
     /// writer-stall detector reads this.
@@ -73,7 +76,7 @@ impl<I: StaticIndex + Sync> ShardSlot<I> {
         mut index: Transform2Index<I>,
         poison_events: Option<Arc<Counter>>,
     ) -> Self {
-        let view = ViewCell::new(Arc::new(index.snapshot_view()));
+        let view = RwLock::new(Arc::new(index.snapshot_view()));
         ShardSlot {
             shard,
             index: RwLock::new(index),
@@ -84,10 +87,10 @@ impl<I: StaticIndex + Sync> ShardSlot<I> {
         }
     }
 
-    /// The shard's currently-published immutable view (one atomic load;
-    /// never blocks, never observes the lock).
+    /// The shard's currently-published immutable view: an `Arc` clone
+    /// under the view lock's read side, never the index lock.
     pub(crate) fn view(&self) -> Arc<ShardView<I>> {
-        self.view.load()
+        Arc::clone(&self.view.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Write access; republishes the view when the guard drops cleanly.
@@ -165,10 +168,50 @@ impl<I: StaticIndex + Sync> Drop for ShardGuard<'_, I> {
             self.slot.locked_since.store(0, Ordering::Relaxed);
             return;
         }
-        // Capture-then-swap happens while the write lock is still held
+        // Capture-then-swap happens while the index lock is still held
         // (the inner guard drops after this body), so publications are
-        // serialized and view epochs stay strictly monotone.
-        self.slot.view.store(Arc::new(self.guard.snapshot_view()));
+        // serialized and view epochs stay strictly monotone. The old
+        // view is dropped only after the view lock is released.
+        let next = Arc::new(self.guard.snapshot_view());
+        let old = std::mem::replace(
+            &mut *self
+                .slot
+                .view
+                .write()
+                .unwrap_or_else(PoisonError::into_inner),
+            next,
+        );
+        drop(old);
         self.slot.locked_since.store(0, Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dyndex_core::{DynOptions, FmConfig, RebuildMode};
+    use dyndex_text::FmIndexCompressed;
+
+    #[test]
+    fn held_view_outlives_publishes_and_dies_with_its_reader() {
+        let index = Transform2Index::new(
+            FmConfig { sample_rate: 4 },
+            DynOptions::default(),
+            RebuildMode::Inline,
+        );
+        let slot: ShardSlot<FmIndexCompressed> = ShardSlot::new(0, index, None);
+        slot.write().unwrap().insert(1, b"old value");
+        let held = slot.view();
+        slot.write().unwrap().insert(2, b"new value");
+        slot.write().unwrap().delete(1);
+        assert_eq!(held.count(b"old value"), 1, "a held view never changes");
+        assert_eq!(held.count(b"new value"), 0);
+        assert_eq!(slot.view().count(b"old value"), 0);
+        assert_eq!(slot.view().count(b"new value"), 1);
+        assert!(slot.view().epoch() > held.epoch() + 1, "two publishes");
+        // The slot kept no reference of its own: the reader's drop frees it.
+        let weak = Arc::downgrade(&held);
+        drop(held);
+        assert!(weak.upgrade().is_none(), "freed by the reader's drop");
     }
 }

@@ -47,9 +47,6 @@ pub struct StoreStats {
     /// durability layer with telemetry enabled and at least one fsync
     /// has been recorded.
     pub wal_fsync_p99: Option<Duration>,
-    /// Retired shard views awaiting epoch reclamation (process-global,
-    /// point-in-time).
-    pub retired_garbage: usize,
     /// Documents loaded through the bulk-ingest fast path
     /// ([`ShardedStore::ingest`](crate::ShardedStore::ingest)) over the
     /// store's lifetime. Tracked store-side, so it is reported even with
@@ -131,7 +128,7 @@ impl std::fmt::Display for StoreStats {
     /// One readable dashboard line, e.g.
     /// `4 shards | 1500 docs | 232.4 KiB alive | 0 pending jobs |
     /// 0 queued | imbalance 1.04 | p99 query 48.2µs | p99 fsync 1.3ms |
-    /// 2 retired views | last snapshot 241.1 KiB on disk`.
+    /// last snapshot 241.1 KiB on disk`.
     ///
     /// The latency fields appear only when telemetry recorded them.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -159,12 +156,6 @@ impl std::fmt::Display for StoreStats {
         if let Some(p99) = self.wal_fsync_p99 {
             write!(f, " | p99 fsync {}", fmt_duration(p99))?;
         }
-        write!(
-            f,
-            " | {} retired view{}",
-            self.retired_garbage,
-            if self.retired_garbage == 1 { "" } else { "s" },
-        )?;
         match self.snapshot_bytes {
             Some(b) => write!(f, " | last snapshot {} on disk", fmt_bytes(b))?,
             None => write!(f, " | no snapshot")?,
@@ -200,7 +191,6 @@ mod tests {
             snapshot_in_progress: false,
             query_p99: None,
             wal_fsync_p99: None,
-            retired_garbage: 0,
             ingested_docs: 0,
             ingest_docs_per_sec: None,
         };
@@ -220,7 +210,6 @@ mod tests {
             snapshot_in_progress: false,
             query_p99: None,
             wal_fsync_p99: None,
-            retired_garbage: 0,
             ingested_docs: 0,
             ingest_docs_per_sec: None,
         };
@@ -235,7 +224,6 @@ mod tests {
             snapshot_in_progress: false,
             query_p99: None,
             wal_fsync_p99: None,
-            retired_garbage: 0,
             ingested_docs: 0,
             ingest_docs_per_sec: None,
         };
@@ -252,7 +240,6 @@ mod tests {
             snapshot_in_progress: false,
             query_p99: None,
             wal_fsync_p99: None,
-            retired_garbage: 0,
             ingested_docs: 0,
             ingest_docs_per_sec: None,
         };
@@ -263,7 +250,6 @@ mod tests {
         assert!(line.contains("1 pending job"), "{line}");
         assert!(line.contains("2 queued"), "{line}");
         assert!(line.contains("no snapshot"), "{line}");
-        assert!(line.contains("0 retired views"), "{line}");
         assert!(!line.contains("p99"), "absent until recorded: {line}");
         assert!(
             !line.contains("ingested"),
@@ -287,7 +273,6 @@ mod tests {
             snapshot_in_progress: false,
             query_p99: Some(Duration::from_micros(48)),
             wal_fsync_p99: Some(Duration::from_micros(1300)),
-            retired_garbage: 2,
             ingested_docs: 5000,
             ingest_docs_per_sec: Some(125_000),
         };
@@ -295,7 +280,6 @@ mod tests {
         assert!(!line.contains('\n'), "single line: {line}");
         assert!(line.contains("p99 query 48.0µs"), "{line}");
         assert!(line.contains("p99 fsync 1.3ms"), "{line}");
-        assert!(line.contains("2 retired views"), "{line}");
         assert!(line.contains("5000 ingested (125000 docs/s)"), "{line}");
     }
 

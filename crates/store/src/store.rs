@@ -131,10 +131,11 @@ pub fn fresh_uid() -> u64 {
 /// All methods take `&self`, so a `ShardedStore` can be shared across
 /// threads directly or behind an `Arc`. Each shard keeps its writer
 /// state behind a write lock and *publishes* its read state as an
-/// immutable [`ShardView`] through an atomically-swapped cell: every
-/// query loads the current view with one atomic op and never touches
-/// the shard lock, so readers cannot contend with writers (and keep
-/// answering even after a writer panic — see [`ShardPoisoned`]).
+/// immutable [`ShardView`] behind a second lock held only for an `Arc`
+/// clone or a swap: every query takes the current view that way and
+/// never touches the shard's write lock, so readers do not wait on
+/// writers (and keep answering even after a writer panic — see
+/// [`ShardPoisoned`]).
 /// Multi-shard queries visit the views one after the other on the
 /// calling thread; the resident per-shard workers install background
 /// rebuilds and run ingest builds and snapshot serialization, never
@@ -351,9 +352,6 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
         if let Some(t) = &telemetry {
             t.flight
                 .set_slow_threshold(health_options.slow_op_threshold);
-            // Epoch-GC passes run process-globally; point them at this
-            // store's recorder (last registration wins).
-            crate::epoch::set_gc_flight(&t.flight);
             for (shard, index) in indexes.iter_mut().enumerate() {
                 index.set_metrics(Some(Arc::clone(&t.core)));
                 index.set_metrics_shard(shard);
@@ -489,8 +487,9 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
     }
 
     /// The shard's currently-published immutable [`ShardView`] — the
-    /// whole read path: one atomic load, no lock. Public so callers can
-    /// pin a consistent snapshot of one shard across several queries.
+    /// whole read path: an `Arc` clone, never the shard's write lock.
+    /// Public so callers can pin a consistent snapshot of one shard
+    /// across several queries.
     ///
     /// # Examples
     ///
@@ -586,7 +585,7 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
     /// Inserts a document into its shard (direct write-lock path — the
     /// worker pool is not involved). On success the shard's
     /// view is republished, so the document is immediately visible to
-    /// the lock-free read path.
+    /// readers.
     ///
     /// # Errors
     /// Returns [`ShardPoisoned`] if a previous writer panicked in this
@@ -661,9 +660,9 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
         }
     }
 
-    /// Inserts a batch, grouped by shard and applied with one thread (and
-    /// one lock acquisition) per shard — writers to different shards
-    /// proceed in parallel.
+    /// Inserts a batch, grouped by shard and applied under one lock
+    /// acquisition (and one view publish) per shard — a lone group on
+    /// the calling thread, several in parallel on scoped threads.
     ///
     /// # Errors
     /// Returns the first (lowest-shard) [`ShardPoisoned`] if any target
@@ -705,33 +704,13 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
         for (id, bytes) in docs {
             groups[self.shard_of(*id)].push((*id, bytes.as_slice()));
         }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .zip(groups)
-                .filter(|(_, group)| !group.is_empty())
-                .map(|(slot, group)| {
-                    scope.spawn(move || -> Result<(), ShardPoisoned> {
-                        let mut index = slot.write()?;
-                        for (id, bytes) in group {
-                            index.insert(id, bytes);
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            let mut result = Ok(());
-            for handle in handles {
-                match handle.join() {
-                    Ok(Ok(())) => {}
-                    Ok(Err(poisoned)) => result = result.and(Err(poisoned)),
-                    // A duplicate insert keeps its panic contract.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
+        self.apply_groups(groups, |index, group| {
+            for (id, bytes) in group {
+                index.insert(id, bytes);
             }
-            result
+            0
         })
+        .map(|_| ())
     }
 
     /// Deletes a batch (grouped like [`ShardedStore::insert_batch`], see
@@ -757,33 +736,51 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
         for &id in ids {
             groups[self.shard_of(id)].push(id);
         }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .zip(groups)
-                .filter(|(_, group)| !group.is_empty())
-                .map(|(slot, group)| {
-                    scope.spawn(move || -> Result<usize, ShardPoisoned> {
-                        let mut index = slot.write()?;
-                        Ok(group
-                            .into_iter()
-                            .filter(|&id| index.delete(id).is_some())
-                            .count())
-                    })
-                })
-                .collect();
-            let mut removed = 0usize;
-            let mut result = Ok(());
-            for handle in handles {
-                match handle.join() {
-                    Ok(Ok(n)) => removed += n,
-                    Ok(Err(poisoned)) => result = result.and(Err(poisoned)),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            result.map(|()| removed)
+        self.apply_groups(groups, |index, group| {
+            group
+                .into_iter()
+                .filter(|&id| index.delete(id).is_some())
+                .count()
         })
+    }
+
+    /// Applies each non-empty per-shard group (`groups[s]` routes to
+    /// shard `s`) under one write guard, so one group is one lock
+    /// acquisition and one view publish, and sums `apply`'s results. A
+    /// lone group runs on the caller; several run on scoped threads, and
+    /// every group is applied before a panic resumes on the caller or the
+    /// lowest-shard [`ShardPoisoned`] is returned.
+    fn apply_groups<T: Send>(
+        &self,
+        groups: Vec<Vec<T>>,
+        apply: impl Fn(&mut Transform2Index<I>, Vec<T>) -> usize + Sync,
+    ) -> Result<usize, ShardPoisoned> {
+        let run = |slot: &ShardSlot<I>, group: Vec<T>| {
+            slot.write().map(|mut index| apply(&mut index, group))
+        };
+        let mut groups: Vec<_> = self
+            .shards
+            .iter()
+            .zip(groups)
+            .filter(|(_, group)| !group.is_empty())
+            .collect();
+        if groups.len() <= 1 {
+            return groups.pop().map_or(Ok(0), |(slot, group)| run(slot, group));
+        }
+        let results: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = groups
+                .into_iter()
+                .map(|(slot, group)| scope.spawn(move || run(slot, group)))
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        let mut total = Ok(0);
+        for result in results {
+            // A duplicate insert keeps its panic contract.
+            let applied = result.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            total = total.and_then(|sum| applied.map(|n| sum + n));
+        }
+        total
     }
 
     // ------------------------------------------------------------------
@@ -794,7 +791,7 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
     /// path: documents are hash-routed to their shards, cut into
     /// chunk-sized batches, SA-IS-built directly into static bulk levels
     /// ([`LevelBuilder`]) and installed through each shard's normal
-    /// epoch-publish path. Compared to [`ShardedStore::insert_batch`]
+    /// view-publish path. Compared to [`ShardedStore::insert_batch`]
     /// this skips the `C0` buffer and every logarithmic-method merge a
     /// document would otherwise pay on its way down the level cascade —
     /// the `fig9_ingest` bench measures the speedup.
@@ -1336,7 +1333,7 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
     /// Wraps already-built shard indexes (the persistence layer's restore
     /// path), re-creating the worker pool per `maintenance`
     /// and publishing each shard's initial view — a restored store's
-    /// lock-free read path answers from the restored state immediately.
+    /// read path answers from the restored state immediately.
     /// Passing [`Telemetry::Shared`] with the predecessor's registry
     /// makes the restored store keep recording into the same series.
     ///
@@ -1446,7 +1443,6 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
             let snap = t.query_duration.snapshot();
             (snap.count() > 0).then(|| Duration::from_nanos(snap.percentile(0.99)))
         });
-        let (retired_garbage, _) = crate::epoch::epoch_stats();
         let ingest_docs_per_sec = self.telemetry.as_ref().and_then(|t| {
             let rate = t.ingest_docs_per_sec.get();
             (rate > 0).then_some(rate)
@@ -1457,7 +1453,6 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
             snapshot_in_progress: self.snapshot_in_progress(),
             query_p99,
             wal_fsync_p99: None,
-            retired_garbage,
             ingested_docs: self.ingested_docs.load(Ordering::Relaxed),
             ingest_docs_per_sec,
         }
@@ -1832,6 +1827,25 @@ mod tests {
         assert!(store.pool_installs() > 0, "installs attributed to the pool");
         assert_eq!(store.count(b"needle"), 150);
         assert_eq!(store.find(b"needle").len(), 150);
+    }
+
+    #[test]
+    fn idle_ticks_do_not_republish_views() {
+        let opts = StoreOptions {
+            maintenance: MaintenancePolicy::Periodic(Duration::from_micros(100)),
+            ..small_opts(2, RebuildMode::Background)
+        };
+        let store = Store::new(fm(), opts);
+        store.insert_batch(&docs(100)).unwrap();
+        store.flush();
+        let epochs = || {
+            (0..2)
+                .map(|s| store.shard_view(s).epoch())
+                .collect::<Vec<_>>()
+        };
+        let settled = epochs();
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(epochs(), settled, "no job in flight, nothing to publish");
     }
 
     #[test]

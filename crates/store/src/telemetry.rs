@@ -89,10 +89,6 @@ pub(crate) struct StoreTelemetry {
     pub snapshot_duration: Arc<Histogram>,
     pub snapshot_bytes_written: Arc<Counter>,
     pub snapshot_bytes_reused: Arc<Counter>,
-    /// Retired views not yet reclaimed (process-global, point-in-time).
-    pub epoch_garbage: Arc<Gauge>,
-    /// Reclamation passes run (process-global, cumulative).
-    pub epoch_passes: Arc<Gauge>,
     /// The always-on flight recorder: hierarchical spans for queries and
     /// every kind of background work, shard-striped.
     pub flight: Arc<FlightRecorder>,
@@ -192,16 +188,6 @@ impl StoreTelemetry {
                 "snapshot bytes reused from the previous generation",
                 Unit::Bytes,
             ),
-            epoch_garbage: registry.gauge(
-                "dyndex_store_epoch_garbage",
-                "retired shard views awaiting epoch reclamation (process-global)",
-                Unit::Count,
-            ),
-            epoch_passes: registry.gauge(
-                "dyndex_store_epoch_passes",
-                "epoch reclamation passes run (process-global)",
-                Unit::Count,
-            ),
             flight_recorded: c(
                 "dyndex_flight_spans_recorded",
                 "spans recorded by the flight recorder (all kinds)",
@@ -219,19 +205,10 @@ impl StoreTelemetry {
         }
     }
 
-    /// Refreshes the process-global epoch-reclamation gauges.
-    pub(crate) fn sync_epoch_gauges(&self) {
-        let (garbage, passes) = crate::epoch::epoch_stats();
-        self.epoch_garbage.set(garbage as u64);
-        self.epoch_passes.set(passes);
-    }
-
-    /// Brings every render-time series up to date: epoch gauges, plus the
-    /// flight recorder's total mirrored into its registry counter
-    /// (registry counters only go up, so the mirror is a delta-add under
-    /// a gate).
+    /// Brings the render-time series up to date: the flight recorder's
+    /// total mirrored into its registry counter (registry counters only
+    /// go up, so the mirror is a delta-add under a gate).
     pub(crate) fn sync_exposition(&self) {
-        self.sync_epoch_gauges();
         let _gate = self.sync_gate.lock().unwrap();
         let live = self.flight.recorded();
         let seen = self.flight_recorded.get();

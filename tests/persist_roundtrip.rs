@@ -460,3 +460,22 @@ fn restored_store_records_into_the_same_registry() {
     assert!(text.contains("dyndex_store_docs_inserted 3"), "{text}");
     assert!(text.contains("dyndex_wal_fsync_duration"), "{text}");
 }
+
+/// A logged batch group is applied under one shard guard, so it
+/// publishes one view — one `C0` copy — not one per document.
+#[test]
+fn durable_batch_publishes_one_view_per_group() {
+    let dir = TempDir::new("one-publish");
+    let store = Durable::create(&dir.0, fm(), deterministic_opts(1)).expect("create");
+    let registry = store.metrics().expect("telemetry on");
+    let copies = registry.counter("dyndex_core_c0_freeze_copies", "", dyndex_obs::Unit::Count);
+    let docs: Docs = (0..32u64)
+        .map(|id| (id, format!("batched doc {id}").into_bytes()))
+        .collect();
+    let before = copies.get();
+    store.insert_batch(&docs).expect("insert batch");
+    assert_eq!(copies.get() - before, 1, "one publish for the insert group");
+    let ids: Vec<u64> = (0..32).collect();
+    assert_eq!(store.delete_batch(&ids).expect("delete batch"), 32);
+    assert_eq!(copies.get() - before, 2, "one publish for the delete group");
+}
