@@ -1,12 +1,15 @@
 //! [`DurableStore`]: a [`ShardedStore`] that survives restarts.
 //!
-//! Every mutation is appended to the owning shard's write-ahead log
-//! before it is applied in memory, so the on-disk state (last snapshot
-//! plus WAL tails) always covers the in-memory state. [`DurableStore::open`]
-//! restores the last committed snapshot, replays the tails through
-//! the normal dynamic-buffer path — recovering the exact pre-crash
-//! logical state without rebuilding any static index — and re-creates
-//! the store's resident worker pool per
+//! A durable write takes the store's one write path (see
+//! [`ShardWrite`]) with one step added: the write is routed by shard,
+//! and for each shard's group the runner locks that shard's write-ahead
+//! log, checks the group can apply ([`check_write`]), appends it as one
+//! record, and only then applies it with [`ShardedStore::apply`]. The
+//! on-disk state (last snapshot plus WAL tails) therefore always covers
+//! the in-memory state. [`DurableStore::open`] restores the last
+//! committed snapshot, replays the tails record by record through the
+//! same check and the same `apply` — recovering the exact pre-crash
+//! logical state — and re-creates the store's resident worker pool per
 //! [`RestoreOptions`](crate::RestoreOptions).
 //!
 //! Queries delegate straight to the wrapped store (same read path, same
@@ -18,11 +21,12 @@ use crate::snapshot::{
     read_manifest, replay_wal, restore_snapshot, write_snapshot, RestoreOptions, SnapshotStats,
     MANIFEST_FILE,
 };
-use crate::wal::{read_wal_records, wal_path, WalMetrics, WalOptions, WalRecord, WalWriter};
+use crate::wal::{read_wal_records, wal_path, WalMetrics, WalOptions, WalWriter};
 use dyndex_core::StaticIndex;
 use dyndex_obs::MetricsRegistry;
-use dyndex_store::{IngestStats, ShardedStore, StoreOptions, StoreStats};
+use dyndex_store::{IngestStats, ShardWrite, ShardedStore, StoreOptions, StoreStats};
 use dyndex_text::Occurrence;
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -190,77 +194,66 @@ where
     }
 
     /// Inserts a batch, logging each shard's group to its WAL before
-    /// applying it as one store batch (one lock acquisition, one view
+    /// applying it as one store write (one lock acquisition, one view
     /// publish); groups for different shards proceed in parallel.
     ///
     /// # Panics
     /// Panics if any id is already present or duplicated in the batch
     /// (checked per shard before that shard's log is written).
     pub fn insert_batch(&self, docs: &[(u64, Vec<u8>)]) -> Result<(), PersistError> {
-        let mut groups: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new(); self.store.num_shards()];
-        for (id, bytes) in docs {
-            groups[self.store.shard_of(*id)].push((*id, bytes.clone()));
-        }
-        self.for_each_group(groups, |shard, group| {
-            let mut wal = self.wal(shard);
-            // Duplicates must be rejected before the log records them —
-            // a record that cannot replay would poison recovery.
-            let mut seen = std::collections::HashSet::with_capacity(group.len());
-            for (id, _) in &group {
-                assert!(seen.insert(*id), "document {id} duplicated in batch");
-                assert!(!self.store.contains(*id), "document {id} already present");
-            }
-            let seq = self.next_seq();
-            let record = WalRecord::InsertBatch(group);
-            wal.append(seq, &record)?;
-            let WalRecord::InsertBatch(docs) = &record else {
-                unreachable!("just constructed");
-            };
-            self.store.insert_batch(docs)?;
-            Ok(0usize)
-        })
-        .map(|_| ())
+        self.write(ShardWrite::Insert(docs.to_vec())).map(drop)
     }
 
     /// Deletes one document (logged, then applied); returns its bytes.
     pub fn delete(&self, doc_id: u64) -> Result<Option<Vec<u8>>, PersistError> {
-        let shard = self.store.shard_of(doc_id);
-        let mut wal = self.wal(shard);
-        if !self.store.contains(doc_id) {
-            return Ok(None);
-        }
-        let seq = self.next_seq();
-        wal.append(seq, &WalRecord::DeleteBatch(vec![doc_id]))?;
-        Ok(self.store.delete(doc_id)?)
+        Ok(self.write(ShardWrite::Delete(vec![doc_id]))?.pop())
     }
 
     /// Deletes a batch (logged per shard, then applied); returns how
     /// many ids were present and removed.
     pub fn delete_batch(&self, ids: &[u64]) -> Result<usize, PersistError> {
-        let mut groups: Vec<Vec<u64>> = vec![Vec::new(); self.store.num_shards()];
-        for &id in ids {
-            groups[self.store.shard_of(id)].push(id);
-        }
-        self.for_each_group(groups, |shard, group| {
-            let mut wal = self.wal(shard);
-            let present: Vec<u64> = group
-                .iter()
-                .copied()
-                .filter(|&id| self.store.contains(id))
-                .collect();
-            if present.is_empty() {
-                return Ok(0);
+        Ok(self.write(ShardWrite::Delete(ids.to_vec()))?.len())
+    }
+
+    /// Routes `write` by shard and logs, then applies, each shard's group
+    /// (see [`ShardedStore::run_routed`]).
+    fn write(&self, write: ShardWrite) -> Result<Vec<Vec<u8>>, PersistError> {
+        self.store
+            .run_routed(write, |shard, group| self.log_and_apply(shard, group))
+    }
+
+    /// Logs one routed write to its shard's WAL, then applies it. The WAL
+    /// lock is held across both, so log order matches apply order and a
+    /// concurrent snapshot cuts between writes, never through one. Ids a
+    /// delete names but the shard does not hold are dropped first: they
+    /// change nothing, so nothing is logged for them.
+    ///
+    /// # Panics
+    /// Panics if the write cannot apply (see [`check_write`]) — after the
+    /// WAL lock is released, so the log stays usable.
+    fn log_and_apply(&self, shard: usize, write: ShardWrite) -> Result<Vec<Vec<u8>>, PersistError> {
+        let mut wal = self.wal(shard);
+        let write = match write {
+            ShardWrite::Delete(ids) => {
+                ShardWrite::Delete(ids.into_iter().filter(|&id| self.contains(id)).collect())
             }
-            let seq = self.next_seq();
-            wal.append(seq, &WalRecord::DeleteBatch(present.clone()))?;
-            Ok(self.store.delete_batch(&present)?)
-        })
+            write => write,
+        };
+        if write.is_empty() {
+            return Ok(Vec::new());
+        }
+        if let Err(reason) = check_write(&self.store, &write) {
+            drop(wal);
+            panic!("{reason}");
+        }
+        wal.append(self.next_seq(), &write)?;
+        Ok(self.store.apply(shard, write)?)
     }
 
     /// Bulk-loads a document stream through the static-construction fast
     /// path (see [`ShardedStore::ingest`]), durably: each chunk is
     /// appended to its shard's write-ahead log as **one coalesced
-    /// `IngestBatch` record** — one frame header, one `write_all`, and
+    /// [`ShardWrite::Bulk`] record** — one frame header, one `write_all`, and
     /// at most one policy-charged fsync per chunk, instead of per
     /// document or per small batch — and then built straight into a
     /// static bulk level on that shard. Replay after a crash routes the
@@ -332,98 +325,13 @@ where
         D: IntoIterator<Item = (u64, Vec<u8>)>,
     {
         let started = Instant::now();
-        let chunk_symbols = chunk_symbols.max(1);
-        let num_shards = self.store.num_shards();
-        let mut buffers: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new(); num_shards];
-        let mut buffered_bytes = vec![0usize; num_shards];
-        let mut stats = IngestStats {
-            docs: 0,
-            bytes: 0,
-            levels: 0,
-            elapsed: Duration::ZERO,
-        };
-        for (id, bytes) in docs {
-            let shard = self.store.shard_of(id);
-            buffered_bytes[shard] += bytes.len();
-            buffers[shard].push((id, bytes));
-            if buffered_bytes[shard] >= chunk_symbols {
-                let chunk = std::mem::take(&mut buffers[shard]);
-                stats.bytes += std::mem::take(&mut buffered_bytes[shard]) as u64;
-                stats.docs += chunk.len() as u64;
-                stats.levels += 1;
-                self.ingest_chunk(shard, chunk)?;
-            }
-        }
-        for shard in 0..num_shards {
-            if !buffers[shard].is_empty() {
-                let chunk = std::mem::take(&mut buffers[shard]);
-                stats.bytes += buffered_bytes[shard] as u64;
-                stats.docs += chunk.len() as u64;
-                stats.levels += 1;
-                self.ingest_chunk(shard, chunk)?;
-            }
+        let mut stats = IngestStats::default();
+        for chunk in self.store.chunks(docs, chunk_symbols) {
+            stats.add_chunk(chunk.docs.len(), chunk.bytes);
+            self.log_and_apply(chunk.shard, ShardWrite::Bulk(chunk.docs))?;
         }
         stats.elapsed = started.elapsed();
         Ok(stats)
-    }
-
-    /// Logs one routed chunk as a single coalesced `IngestBatch` record,
-    /// then builds it into a bulk level on its shard. The shard's WAL
-    /// lock is held across both, so log order matches apply order and a
-    /// concurrent snapshot cuts between chunks, never through one.
-    fn ingest_chunk(&self, shard: usize, chunk: Vec<(u64, Vec<u8>)>) -> Result<(), PersistError> {
-        let mut wal = self.wal(shard);
-        let mut seen = std::collections::HashSet::with_capacity(chunk.len());
-        for (id, _) in &chunk {
-            assert!(seen.insert(*id), "document {id} duplicated in batch");
-            assert!(!self.store.contains(*id), "document {id} already present");
-        }
-        let seq = self.next_seq();
-        let record = WalRecord::IngestBatch(chunk);
-        wal.append(seq, &record)?;
-        let WalRecord::IngestBatch(chunk) = &record else {
-            unreachable!("just constructed");
-        };
-        self.store.bulk_load_shard(shard, chunk)?;
-        Ok(())
-    }
-
-    /// Runs `f` for every non-empty shard group, summing the results: a
-    /// lone group on the caller, several each on its own scoped thread
-    /// (the WAL mutex inside `f` serializes same-shard work; different
-    /// shards proceed in parallel).
-    fn for_each_group<T, F>(&self, groups: Vec<Vec<T>>, f: F) -> Result<usize, PersistError>
-    where
-        T: Send,
-        F: Fn(usize, Vec<T>) -> Result<usize, PersistError> + Sync,
-    {
-        let mut groups: Vec<(usize, Vec<T>)> = groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, g)| !g.is_empty())
-            .collect();
-        if groups.len() == 1 {
-            let (shard, group) = groups.pop().expect("one group");
-            return f(shard, group);
-        }
-        let results: Vec<Result<usize, PersistError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .map(|(shard, group)| {
-                    let f = &f;
-                    scope.spawn(move || f(shard, group))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("durable write thread panicked"))
-                .collect()
-        });
-        let mut total = 0usize;
-        for r in results {
-            total += r?;
-        }
-        Ok(total)
     }
 
     // ------------------------------------------------------------------
@@ -547,6 +455,35 @@ where
     pub fn health(&self) -> dyndex_obs::HealthReport {
         self.store.health()
     }
+}
+
+/// Why `write` cannot apply to `store`: an inserted id that is repeated
+/// in the write or already present, or a deleted id that is absent. The
+/// durable path panics with the reason before logging; replay reports it
+/// as corruption.
+pub(crate) fn check_write<I: StaticIndex + Sync>(
+    store: &ShardedStore<I>,
+    write: &ShardWrite,
+) -> Result<(), String> {
+    match write {
+        ShardWrite::Insert(docs) | ShardWrite::Bulk(docs) => {
+            let mut seen = HashSet::with_capacity(docs.len());
+            for (id, _) in docs {
+                if !seen.insert(*id) {
+                    return Err(format!("document {id} duplicated in batch"));
+                }
+                if store.contains(*id) {
+                    return Err(format!("document {id} already present"));
+                }
+            }
+        }
+        ShardWrite::Delete(ids) => {
+            if let Some(id) = ids.iter().find(|&&id| !store.contains(id)) {
+                return Err(format!("document {id} absent"));
+            }
+        }
+    }
+    Ok(())
 }
 
 impl<I> Drop for DurableStore<I>

@@ -22,9 +22,9 @@
 //!   temp-then-rename with the manifest last, so a crash mid-snapshot
 //!   leaves the previous consistent generation readable.
 //! * [`DurableStore`] — a store wrapper that write-ahead-logs every
-//!   insert/delete batch between snapshots; `open` restores the last
-//!   snapshot and replays the logged tail through the normal
-//!   dynamic-buffer path, recovering the exact pre-crash logical state.
+//!   write between snapshots; `open` restores the last snapshot and
+//!   replays the logged tail through the store's one write path,
+//!   recovering the exact pre-crash logical state.
 //!
 //! Restored stores answer `count` / `find` / `find_limit` / `extract`
 //! byte-identically to the live store they were snapshotted from: every

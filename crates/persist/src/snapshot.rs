@@ -43,8 +43,8 @@
 //! A snapshot quiesces and freezes one shard at a time — each shard's
 //! write lock is held only for an O(levels) `Arc` clone, and no two
 //! shard locks are ever held together — then serializes the frozen
-//! structures off-lock on the store's resident worker pool (inline when
-//! no pool exists). Queries never wait on any of it. The cut is
+//! structures off-lock as background jobs on the store's resident worker
+//! pool (on the snapshotting thread when no pool exists). Queries never wait on any of it. The cut is
 //! per-shard: shard `i` is captured at the instant it is frozen;
 //! `DurableStore` holds its WAL locks across the snapshot, which makes
 //! the cut cross-shard consistent there.
@@ -55,8 +55,9 @@ use crate::codec::{
     write_u64, write_u8, write_usize, Persist,
 };
 use crate::core_impls::{read_shard_meta, write_shard_meta};
+use crate::durable::check_write;
 use crate::error::PersistError;
-use crate::wal::{read_wal_records, wal_path, WalOptions, WalRecord};
+use crate::wal::{read_wal_records, wal_path, WalOptions};
 use dyndex_core::transform2::{FrozenLevel, FrozenSlot, FrozenSnapshot};
 use dyndex_core::{DeletionOnlyIndex, DynOptions, RebuildMode, StaticIndex, Transform2Index};
 use dyndex_obs::{Span, SpanKind};
@@ -500,8 +501,8 @@ fn encode_meta<I: StaticIndex>(frozen: &FrozenSnapshot<I>) -> std::io::Result<Ve
 /// Splits a frozen shard into per-level outcomes: reused entries carry
 /// the previous generation's file entry verbatim; changed levels become
 /// empty [`LevelOutcome::Fresh`] placeholders plus an encode work item
-/// `(outcome index, structure handle)` for the caller to run (inline or
-/// on the worker pool).
+/// `(outcome index, structure handle)` for the caller to run as a
+/// background job.
 #[allow(clippy::type_complexity)]
 fn plan_shard<I: StaticIndex + Persist>(
     shard: usize,
@@ -571,21 +572,29 @@ where
         .as_ref()
         .map(|f| (f.next_span_id(), f.now_nanos(), Instant::now()));
     let snap_root = snap_start.map_or(0, |(id, _, _)| id);
-    let child_span = |shard: usize, kind: SpanKind, start: Option<(u64, Instant)>, detail: u64| {
-        if let (Some(f), Some((start_nanos, started))) = (&flight, start) {
-            f.record_at(
-                shard,
-                Span {
-                    shard: Some(shard),
-                    start_nanos,
-                    duration_nanos: started.elapsed().as_nanos() as u64,
-                    detail,
-                    ..Span::child(snap_root, kind)
-                },
-            );
+    // Per-shard child spans of the snapshot root; both closures are
+    // `Clone`, so every serialization job carries its own copy.
+    let child_span = {
+        let flight = flight.clone();
+        move |shard: usize, kind: SpanKind, start: Option<(u64, Instant)>, detail: u64| {
+            if let (Some(f), Some((start_nanos, started))) = (&flight, start) {
+                f.record_at(
+                    shard,
+                    Span {
+                        shard: Some(shard),
+                        start_nanos,
+                        duration_nanos: started.elapsed().as_nanos() as u64,
+                        detail,
+                        ..Span::child(snap_root, kind)
+                    },
+                );
+            }
         }
     };
-    let stamp = || flight.as_ref().map(|f| (f.now_nanos(), Instant::now()));
+    let stamp = {
+        let flight = flight.clone();
+        move || flight.as_ref().map(|f| (f.now_nanos(), Instant::now()))
+    };
     // Pick the next generation so new files never collide with the ones
     // the committed manifest points to. A *missing* manifest means a
     // fresh directory, and a corrupt one means the previous snapshot is
@@ -633,8 +642,9 @@ where
         })
         .collect();
     let serializing = SnapshotFlag::set(store);
-    // Serialize changed levels on the resident worker pool, one job per
-    // level, off every lock; poolless stores encode inline.
+    // Serialize changed levels as one background job per level, off
+    // every lock: on the resident worker pool, or on this thread when
+    // the store has none.
     let (tx, rx) = mpsc::channel::<(usize, usize, std::io::Result<Vec<u8>>)>();
     let mut pending = 0usize;
     let mut plans: Vec<Vec<LevelOutcome>> = Vec::with_capacity(frozen.len());
@@ -642,37 +652,15 @@ where
         let (outcomes, todo) = plan_shard(shard, fz, &reuse);
         for (idx, index) in todo {
             pending += 1;
-            let job_tx = tx.clone();
-            let job_index = Arc::clone(&index);
-            let job_flight = flight.clone();
+            let (job_tx, span, stamp) = (tx.clone(), child_span.clone(), stamp.clone());
             let job = Box::new(move || {
-                let start = job_flight.as_ref().map(|f| (f.now_nanos(), Instant::now()));
-                let result = encode_level(&*job_index);
-                if let (Some(f), Some((start_nanos, started))) = (&job_flight, start) {
-                    f.record_at(
-                        shard,
-                        Span {
-                            shard: Some(shard),
-                            start_nanos,
-                            duration_nanos: started.elapsed().as_nanos() as u64,
-                            detail: result.as_ref().map_or(0, |b| b.len() as u64),
-                            ..Span::child(snap_root, SpanKind::ShardSerialize)
-                        },
-                    );
-                }
-                let _ = job_tx.send((shard, idx, result));
-            });
-            if !store.submit_background_job(shard, job) {
                 let start = stamp();
                 let result = encode_level(&*index);
-                child_span(
-                    shard,
-                    SpanKind::ShardSerialize,
-                    start,
-                    result.as_ref().map_or(0, |b| b.len() as u64),
-                );
-                let _ = tx.send((shard, idx, result));
-            }
+                let detail = result.as_ref().map_or(0, |b| b.len() as u64);
+                span(shard, SpanKind::ShardSerialize, start, detail);
+                let _ = job_tx.send((shard, idx, result));
+            });
+            store.submit_background_job(shard, job);
         }
         plans.push(outcomes);
     }
@@ -871,9 +859,13 @@ where
     Ok(store)
 }
 
-/// Replays every WAL record with sequence `> after_seq` through the
-/// store's normal insert/delete path, returning the highest sequence
-/// seen (or `after_seq` if the logs are empty).
+/// Replays every WAL record with sequence `> after_seq`, returning the
+/// highest sequence seen (or `after_seq` if the logs are empty). Each
+/// record is one `ShardWrite` for its log's shard and takes the durable
+/// write path minus the log: [`check_write`], then
+/// [`ShardedStore::apply`] — one guard and one view publish per record,
+/// a bulk chunk straight back into a static level. A record that cannot
+/// apply is reported as corruption.
 pub(crate) fn replay_wal<I>(
     store: &ShardedStore<I>,
     dir: &Path,
@@ -884,41 +876,14 @@ where
 {
     let mut max_seq = after_seq;
     for shard in 0..store.num_shards() {
-        for (seq, record) in read_wal_records(&wal_path(dir, shard))? {
+        for (seq, write) in read_wal_records(&wal_path(dir, shard))? {
             max_seq = max_seq.max(seq);
             if seq <= after_seq {
                 continue;
             }
-            match record {
-                WalRecord::InsertBatch(docs) => {
-                    for (id, bytes) in docs {
-                        if store.contains(id) {
-                            return Err(PersistError::corrupt(format!(
-                                "wal replays document {id} already present in the snapshot"
-                            )));
-                        }
-                        store.insert(id, &bytes)?;
-                    }
-                }
-                WalRecord::DeleteBatch(ids) => {
-                    for id in ids {
-                        store.delete(id)?;
-                    }
-                }
-                // A logged bulk chunk replays through the same fast path
-                // that built it: straight to a static level on its shard,
-                // never through the C0 buffer.
-                WalRecord::IngestBatch(docs) => {
-                    for (id, _) in &docs {
-                        if store.contains(*id) {
-                            return Err(PersistError::corrupt(format!(
-                                "wal replays document {id} already present in the snapshot"
-                            )));
-                        }
-                    }
-                    store.bulk_load_shard(shard, &docs)?;
-                }
-            }
+            check_write(store, &write)
+                .map_err(|reason| PersistError::corrupt(format!("wal replays {reason}")))?;
+            store.apply(shard, write)?;
         }
     }
     Ok(max_seq)
@@ -933,8 +898,8 @@ where
 /// re-creates the resident worker pool (per
 /// [`RestoreOptions::maintenance`]), and
 /// — when the directory carries a write-ahead log (see `DurableStore`) —
-/// replays the logged tail through the normal dynamic-buffer path,
-/// recovering the exact pre-crash logical state.
+/// replays the logged tail through the store's write path, recovering
+/// the exact pre-crash logical state.
 ///
 /// # Examples
 ///

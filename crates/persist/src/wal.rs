@@ -1,11 +1,13 @@
-//! The per-shard write-ahead log: length-prefixed, checksummed records
-//! of insert/delete batches applied since the last snapshot.
+//! The per-shard write-ahead log: length-prefixed, checksummed records,
+//! one per [`ShardWrite`] applied to the shard since the last snapshot.
 //!
 //! ## Record layout
 //!
 //! ```text
 //! payload_len u32 | crc32(payload) u32 | payload…
-//! payload = seq u64 | kind u8 | body
+//! payload = seq u64 | kind u8 | count u64 | count × entry
+//! entry   = id u64 | len u64 | bytes…    (kind 1 Insert, 3 Bulk)
+//!         | id u64                        (kind 2 Delete)
 //! ```
 //!
 //! Recovery semantics are the standard WAL contract: records are read in
@@ -19,6 +21,7 @@ use crate::codec::{
 };
 use crate::error::PersistError;
 use dyndex_obs::{Counter, FlightRecorder, Histogram, MetricsRegistry, Span, SpanKind, Unit};
+use dyndex_store::ShardWrite;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -92,97 +95,67 @@ pub struct WalOptions {
     pub sync: SyncPolicy,
 }
 
-/// One logged batch. Every record *is* a batch — the shared suffix is
-/// the point, not noise.
-#[allow(clippy::enum_variant_names)]
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum WalRecord {
-    /// Documents inserted (id, bytes).
-    InsertBatch(Vec<(u64, Vec<u8>)>),
-    /// Document ids deleted.
-    DeleteBatch(Vec<u64>),
-    /// One bulk-ingested chunk (id, bytes): the whole chunk is logged as
-    /// a single coalesced frame — one length/crc header and one append
-    /// `write_all` per chunk instead of per batch call — and replays
-    /// through the bulk-build fast path rather than the `C0` buffer.
-    IngestBatch(Vec<(u64, Vec<u8>)>),
-}
-
-fn encode_payload(seq: u64, record: &WalRecord) -> Vec<u8> {
+/// Encodes one record's payload. Each [`ShardWrite`] kind keeps its own
+/// tag; `Insert` and `Bulk` share a body layout.
+fn encode_payload(seq: u64, write: &ShardWrite) -> Vec<u8> {
     let mut payload = Vec::new();
     write_u64(&mut payload, seq).expect("vec write");
-    match record {
-        WalRecord::InsertBatch(docs) => {
-            write_u8(&mut payload, KIND_INSERT).expect("vec write");
-            write_usize(&mut payload, docs.len()).expect("vec write");
-            for (id, bytes) in docs {
-                write_u64(&mut payload, *id).expect("vec write");
-                write_bytes(&mut payload, bytes).expect("vec write");
-            }
-        }
-        WalRecord::DeleteBatch(ids) => {
+    let (kind, docs) = match write {
+        ShardWrite::Insert(docs) => (KIND_INSERT, docs),
+        ShardWrite::Bulk(docs) => (KIND_INGEST, docs),
+        ShardWrite::Delete(ids) => {
             write_u8(&mut payload, KIND_DELETE).expect("vec write");
             write_usize(&mut payload, ids.len()).expect("vec write");
             for id in ids {
                 write_u64(&mut payload, *id).expect("vec write");
             }
+            return payload;
         }
-        WalRecord::IngestBatch(docs) => {
-            write_u8(&mut payload, KIND_INGEST).expect("vec write");
-            write_usize(&mut payload, docs.len()).expect("vec write");
-            for (id, bytes) in docs {
-                write_u64(&mut payload, *id).expect("vec write");
-                write_bytes(&mut payload, bytes).expect("vec write");
-            }
-        }
+    };
+    write_u8(&mut payload, kind).expect("vec write");
+    write_usize(&mut payload, docs.len()).expect("vec write");
+    for (id, bytes) in docs {
+        write_u64(&mut payload, *id).expect("vec write");
+        write_bytes(&mut payload, bytes).expect("vec write");
     }
     payload
 }
 
-fn decode_payload(payload: &[u8]) -> Result<(u64, WalRecord), PersistError> {
+fn decode_payload(payload: &[u8]) -> Result<(u64, ShardWrite), PersistError> {
     let mut r = std::io::Cursor::new(payload);
     let seq = read_u64(&mut r)?;
-    let record = match read_u8(&mut r)? {
-        KIND_INSERT => {
-            let count = read_usize(&mut r)?;
-            let mut docs = Vec::with_capacity(count.min(1 << 16));
-            for _ in 0..count {
-                let id = read_u64(&mut r)?;
-                let bytes = read_bytes(&mut r)?;
-                docs.push((id, bytes));
-            }
-            WalRecord::InsertBatch(docs)
+    let kind = read_u8(&mut r)?;
+    let count = read_usize(&mut r)?;
+    let mut read_docs = || -> Result<Vec<(u64, Vec<u8>)>, PersistError> {
+        let mut docs = Vec::with_capacity(count.min(1 << 16));
+        for _ in 0..count {
+            let id = read_u64(&mut r)?;
+            docs.push((id, read_bytes(&mut r)?));
         }
+        Ok(docs)
+    };
+    let write = match kind {
+        KIND_INSERT => ShardWrite::Insert(read_docs()?),
+        KIND_INGEST => ShardWrite::Bulk(read_docs()?),
         KIND_DELETE => {
-            let count = read_usize(&mut r)?;
             let mut ids = Vec::with_capacity(count.min(1 << 16));
             for _ in 0..count {
                 ids.push(read_u64(&mut r)?);
             }
-            WalRecord::DeleteBatch(ids)
-        }
-        KIND_INGEST => {
-            let count = read_usize(&mut r)?;
-            let mut docs = Vec::with_capacity(count.min(1 << 16));
-            for _ in 0..count {
-                let id = read_u64(&mut r)?;
-                let bytes = read_bytes(&mut r)?;
-                docs.push((id, bytes));
-            }
-            WalRecord::IngestBatch(docs)
+            ShardWrite::Delete(ids)
         }
         k => return Err(PersistError::corrupt(format!("wal: bad record kind {k}"))),
     };
     if r.position() != payload.len() as u64 {
         return Err(PersistError::corrupt("wal: trailing bytes in record"));
     }
-    Ok((seq, record))
+    Ok((seq, write))
 }
 
 /// Reads every valid record from `path` in file order, stopping silently
 /// at the first invalid one (torn-tail semantics). A missing file is an
 /// empty log.
-pub(crate) fn read_wal_records(path: &Path) -> Result<Vec<(u64, WalRecord)>, PersistError> {
+pub(crate) fn read_wal_records(path: &Path) -> Result<Vec<(u64, ShardWrite)>, PersistError> {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
@@ -342,10 +315,10 @@ impl WalWriter {
     /// (single `write_all`), so the log survives process crashes; the
     /// [`SyncPolicy`] decides whether this append also pays an fsync
     /// (per record, per group of N, or never — see [`WalWriter::sync`]).
-    pub(crate) fn append(&mut self, seq: u64, record: &WalRecord) -> Result<(), PersistError> {
+    pub(crate) fn append(&mut self, seq: u64, write: &ShardWrite) -> Result<(), PersistError> {
         let started = self.metrics.is_some().then(Instant::now);
         let flight_start = self.flight_now();
-        let result = self.append_inner(seq, record);
+        let result = self.append_inner(seq, write);
         if let (Some(m), Some(started)) = (&self.metrics, started) {
             match &result {
                 Ok(bytes) => {
@@ -362,8 +335,8 @@ impl WalWriter {
     /// The fallible body of [`WalWriter::append`], split out so the
     /// wrapper can count errors and record latency/spans on exactly one
     /// path each. Returns the framed bytes written (the span's payload).
-    fn append_inner(&mut self, seq: u64, record: &WalRecord) -> Result<u64, PersistError> {
-        let payload = encode_payload(seq, record);
+    fn append_inner(&mut self, seq: u64, write: &ShardWrite) -> Result<u64, PersistError> {
+        let payload = encode_payload(seq, write);
         let mut framed = Vec::with_capacity(payload.len() + 8);
         framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         framed.extend_from_slice(&crc32(&payload).to_le_bytes());
@@ -475,8 +448,8 @@ mod tests {
         let dir = TempDir::new("roundtrip");
         let path = wal_path(&dir.0, 0);
         let mut w = WalWriter::open_append(path.clone(), WalOptions::default()).unwrap();
-        let r1 = WalRecord::InsertBatch(vec![(1, b"one".to_vec()), (2, b"two".to_vec())]);
-        let r2 = WalRecord::DeleteBatch(vec![1]);
+        let r1 = ShardWrite::Insert(vec![(1, b"one".to_vec()), (2, b"two".to_vec())]);
+        let r2 = ShardWrite::Delete(vec![1]);
         w.append(1, &r1).unwrap();
         w.append(2, &r2).unwrap();
         w.sync().unwrap();
@@ -499,8 +472,8 @@ mod tests {
         let dir = TempDir::new("torn");
         let path = wal_path(&dir.0, 0);
         let mut w = WalWriter::open_append(path.clone(), WalOptions::default()).unwrap();
-        w.append(1, &WalRecord::DeleteBatch(vec![9])).unwrap();
-        w.append(2, &WalRecord::DeleteBatch(vec![10])).unwrap();
+        w.append(1, &ShardWrite::Delete(vec![9])).unwrap();
+        w.append(2, &ShardWrite::Delete(vec![10])).unwrap();
         drop(w);
         // Simulate a torn write: chop bytes off the last record.
         let bytes = std::fs::read(&path).unwrap();
@@ -513,6 +486,37 @@ mod tests {
         bytes.extend_from_slice(&[0xAB; 5]);
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(read_wal_records(&path).unwrap().len(), 1);
+    }
+
+    /// One framed record of each kind, byte for byte as earlier builds
+    /// wrote them: logs written before must keep replaying.
+    #[test]
+    fn record_bytes_match_golden_frames() {
+        let dir = TempDir::new("golden");
+        let path = wal_path(&dir.0, 0);
+        let records = vec![
+            (
+                3,
+                ShardWrite::Insert(vec![(1, b"one".to_vec()), (258, b"two!".to_vec())]),
+            ),
+            (4, ShardWrite::Delete(vec![1, u64::MAX])),
+            (5, ShardWrite::Bulk(vec![(7, b"bulk".to_vec())])),
+        ];
+        let mut w = WalWriter::open_append(path.clone(), WalOptions::default()).unwrap();
+        for (seq, write) in &records {
+            w.append(*seq, write).unwrap();
+        }
+        let hex: String = std::fs::read(&path)
+            .unwrap()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        let golden = "38000000d7561654030000000000000001020000000000000001000000000000000300\
+            0000000000006f6e650201000000000000040000000000000074776f2121000000f702e50204\
+            000000000000000202000000000000000100000000000000ffffffffffffffff25000000113c\
+            b05c05000000000000000301000000000000000700000000000000040000000000000062756c6b";
+        assert_eq!(hex, golden);
+        assert_eq!(read_wal_records(&path).unwrap(), records);
     }
 
     #[test]
@@ -542,10 +546,10 @@ mod tests {
             },
         );
         for seq in 1..=2 {
-            w.append(seq, &WalRecord::DeleteBatch(vec![seq])).unwrap();
+            w.append(seq, &ShardWrite::Delete(vec![seq])).unwrap();
         }
         assert_eq!(fsyncs.snapshot().count(), 0, "below the group size");
-        w.append(3, &WalRecord::DeleteBatch(vec![3])).unwrap();
+        w.append(3, &ShardWrite::Delete(vec![3])).unwrap();
         assert_eq!(fsyncs.snapshot().count(), 1, "third record pays the fsync");
         // Close with nothing un-synced adds no extra fsync.
         w.close().unwrap();
@@ -562,17 +566,17 @@ mod tests {
                 max_delay: Duration::from_millis(5),
             },
         );
-        w.append(1, &WalRecord::DeleteBatch(vec![1])).unwrap();
+        w.append(1, &ShardWrite::Delete(vec![1])).unwrap();
         assert_eq!(fsyncs.snapshot().count(), 0, "deadline not reached yet");
         std::thread::sleep(Duration::from_millis(10));
-        w.append(2, &WalRecord::DeleteBatch(vec![2])).unwrap();
+        w.append(2, &ShardWrite::Delete(vec![2])).unwrap();
         assert_eq!(
             fsyncs.snapshot().count(),
             1,
             "the append past the deadline forces the group to disk"
         );
         // The staleness clock restarted: an immediate append waits again.
-        w.append(3, &WalRecord::DeleteBatch(vec![3])).unwrap();
+        w.append(3, &ShardWrite::Delete(vec![3])).unwrap();
         assert_eq!(fsyncs.snapshot().count(), 1);
         // Close covers the tail.
         w.close().unwrap();
@@ -584,8 +588,8 @@ mod tests {
         let dir = TempDir::new("ingest-frames");
         let path = wal_path(&dir.0, 0);
         let mut w = WalWriter::open_append(path.clone(), WalOptions::default()).unwrap();
-        let chunk1 = WalRecord::IngestBatch(vec![(1, b"bulk one".to_vec()), (2, b"two".to_vec())]);
-        let chunk2 = WalRecord::IngestBatch(vec![(3, b"bulk three".to_vec())]);
+        let chunk1 = ShardWrite::Bulk(vec![(1, b"bulk one".to_vec()), (2, b"two".to_vec())]);
+        let chunk2 = ShardWrite::Bulk(vec![(3, b"bulk three".to_vec())]);
         w.append(1, &chunk1).unwrap();
         w.append(2, &chunk2).unwrap();
         w.sync().unwrap();

@@ -25,17 +25,13 @@
 //!   byte-identically to an unsharded index over the same documents. A
 //!   query is a pure function of immutable views: there is no queue, no
 //!   hand-off and no policy between the caller and the index.
-//! * **Batching** — [`ShardedStore::insert_batch`] /
-//!   [`ShardedStore::delete_batch`] group documents by shard and apply
-//!   each group under one lock acquisition and one view publish — a lone
-//!   group on the caller, several each on its own thread.
-//! * **Bulk ingestion** — [`ShardedStore::ingest`] streams a corpus
-//!   through the static-construction fast path: documents route by
-//!   shard, cut into bounded chunks, SA-IS-build directly into static
-//!   bulk levels off the shard lock (on the resident workers when a
-//!   pool exists), and install through the normal view-publish path —
-//!   skipping the `C0` buffer and every cascade merge, while queries
-//!   keep answering from published views throughout.
+//! * **One write path** — every insert, delete, batch and bulk-ingest
+//!   chunk is a [`ShardWrite`] routed by shard and applied under one
+//!   lock acquisition and one view publish per shard
+//!   ([`ShardedStore::apply`]). [`ShardedStore::ingest`] streams a corpus
+//!   into bounded per-shard chunks that SA-IS-build directly into static
+//!   levels off the shard lock (on the resident workers when a pool
+//!   exists), skipping the `C0` buffer and every cascade merge.
 //! * **Maintenance** — Transformation 2 rebuilds sub-collections on
 //!   background jobs that must be *installed* by someone holding the
 //!   index. One resident worker per shard drains its shard's finished
@@ -92,12 +88,14 @@ mod shard;
 mod stats;
 mod store;
 mod telemetry;
+mod write;
 
 pub use health::HealthOptions;
 pub use shard::{ShardGuard, ShardPoisoned};
 pub use stats::{ShardStats, StoreStats};
 pub use store::{IngestStats, MaintenancePolicy, ShardedStore, StoreOptions};
 pub use telemetry::Telemetry;
+pub use write::{Chunk, ShardWrite};
 
 // Telemetry vocabulary types, re-exported so store users need not name
 // `dyndex-obs` directly: the registry handle [`ShardedStore::metrics`]

@@ -5,21 +5,21 @@
 
 use crate::health::{HealthOptions, HealthState};
 use crate::pool::WorkerPool;
-use crate::shard::{ShardGuard, ShardPoisoned, ShardSlot};
+use crate::shard::{ShardGuard, ShardSlot};
 use crate::stats::{ShardStats, StoreStats};
 use crate::telemetry::{StoreTelemetry, Telemetry};
+use crate::write::{shard_for, WritePath};
 use dyndex_core::transform2::FrozenSnapshot;
-use dyndex_core::{DynOptions, LevelBuilder, RebuildMode, ShardView, StaticIndex, Transform2Index};
+use dyndex_core::{DynOptions, RebuildMode, ShardView, StaticIndex, Transform2Index};
 use dyndex_obs::{
     AdminResponse, AdminServer, FlightRecorder, HealthReport, MetricsRegistry, Span, SpanKind,
 };
 use dyndex_succinct::SpaceUsage;
 use dyndex_text::Occurrence;
-use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// How background maintenance is driven.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -27,8 +27,8 @@ pub enum MaintenancePolicy {
     /// No worker threads at all. Finished jobs install when a foreground
     /// operation touches the shard, or when the caller runs
     /// [`ShardedStore::maintain`] / [`ShardedStore::finish_background_work`].
-    /// Bulk-ingest chunk builds and snapshot serialization run inline on
-    /// the calling thread — the fully deterministic, zero-thread mode
+    /// Bulk-ingest chunk builds and snapshot serialization run on the
+    /// calling thread — the fully deterministic, zero-thread mode
     /// that tests build on.
     Manual,
     /// One resident worker per shard. Each worker runs that shard's
@@ -104,7 +104,7 @@ impl Default for StoreOptions {
 
 /// SplitMix64 — the document-id router. Sequential ids (the common
 /// pattern) spread uniformly instead of striping.
-fn route_hash(id: u64) -> u64 {
+pub(crate) fn route_hash(id: u64) -> u64 {
     let mut z = id.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -135,7 +135,7 @@ pub fn fresh_uid() -> u64 {
 /// clone or a swap: every query takes the current view that way and
 /// never touches the shard's write lock, so readers do not wait on
 /// writers (and keep answering even after a writer panic — see
-/// [`ShardPoisoned`]).
+/// [`ShardPoisoned`](crate::ShardPoisoned)).
 /// Multi-shard queries visit the views one after the other on the
 /// calling thread; the resident per-shard workers install background
 /// rebuilds and run ingest builds and snapshot serialization, never
@@ -143,7 +143,7 @@ pub fn fresh_uid() -> u64 {
 /// and `docs/ARCHITECTURE.md` (repo root) for the full stack
 /// walk-through.
 pub struct ShardedStore<I: StaticIndex + Sync> {
-    shards: Arc<Vec<ShardSlot<I>>>,
+    pub(crate) shards: Arc<Vec<ShardSlot<I>>>,
     /// Resident workers; `None` under [`MaintenancePolicy::Manual`].
     pool: Option<WorkerPool<I>>,
     /// Whether a background snapshot currently has serialization work
@@ -158,7 +158,7 @@ pub struct ShardedStore<I: StaticIndex + Sync> {
     lineage: AtomicU64,
     /// Telemetry handles; `None` under [`Telemetry::Disabled`] — every
     /// instrumentation point is then one branch, no clock reads.
-    telemetry: Option<Arc<StoreTelemetry>>,
+    pub(crate) telemetry: Option<Arc<StoreTelemetry>>,
     /// The health watchdog (always present; detectors read shared
     /// atomics, so a check never blocks on store state).
     health: Arc<HealthState<I>>,
@@ -167,10 +167,9 @@ pub struct ShardedStore<I: StaticIndex + Sync> {
     /// drop order against the pool is immaterial; dropping the store
     /// joins the accept thread.
     admin: Option<AdminServer>,
-    /// Documents loaded through the bulk-ingest fast path over the
-    /// store's lifetime (store-side, so [`StoreStats`] reports it even
-    /// under [`Telemetry::Disabled`]).
-    ingested_docs: AtomicU64,
+    /// What every write shares: the level builder, telemetry and the
+    /// ingest tally (see [`ShardedStore::apply`]).
+    pub(crate) writes: Arc<WritePath<I>>,
 }
 
 /// Outcome of one [`ShardedStore::ingest`] call: how much was loaded and
@@ -191,7 +190,7 @@ pub struct ShardedStore<I: StaticIndex + Sync> {
 /// assert_eq!(stats.docs_per_sec(), 2000.0);
 /// assert_eq!(stats.bytes_per_sec(), (8 << 20) as f64);
 /// ```
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct IngestStats {
     /// Documents built into bulk levels and installed.
     pub docs: u64,
@@ -207,98 +206,30 @@ impl IngestStats {
     /// Ingest throughput in documents per second (0.0 when the call took
     /// no measurable time).
     pub fn docs_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.docs as f64 / secs
-        } else {
-            0.0
-        }
+        self.per_sec(self.docs)
     }
 
     /// Ingest throughput in bytes per second (0.0 when the call took no
     /// measurable time).
     pub fn bytes_per_sec(&self) -> f64 {
+        self.per_sec(self.bytes)
+    }
+
+    fn per_sec(&self, n: u64) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs > 0.0 {
-            self.bytes as f64 / secs
+            n as f64 / secs
         } else {
             0.0
         }
     }
-}
 
-/// Bulk chunks allowed in flight per shard before the router blocks on
-/// the oldest reply — bounds ingest memory at
-/// `(1 + MAX_INGEST_IN_FLIGHT) × chunk` raw bytes per shard (one being
-/// routed, the rest being built).
-const MAX_INGEST_IN_FLIGHT: usize = 2;
-
-/// One dispatched bulk chunk awaiting its worker's reply.
-struct InFlightChunk {
-    rx: mpsc::Receiver<std::thread::Result<Result<(), ShardPoisoned>>>,
-    docs: u64,
-    bytes: u64,
-}
-
-/// Running tally of an ingest call: successes, plus the first failure of
-/// each kind (every in-flight chunk is still drained before either
-/// propagates, so no worker reply is ever orphaned).
-#[derive(Default)]
-struct IngestProgress {
-    docs: u64,
-    bytes: u64,
-    levels: u64,
-    poisoned: Option<ShardPoisoned>,
-    panic: Option<Box<dyn std::any::Any + Send>>,
-    lost: bool,
-}
-
-impl IngestProgress {
-    /// Blocks on one chunk's reply and folds it in.
-    fn absorb(&mut self, chunk: InFlightChunk) {
-        match chunk.rx.recv() {
-            Ok(Ok(Ok(()))) => {
-                self.docs += chunk.docs;
-                self.bytes += chunk.bytes;
-                self.levels += 1;
-            }
-            Ok(Ok(Err(poisoned))) => {
-                self.poisoned.get_or_insert(poisoned);
-            }
-            Ok(Err(payload)) => {
-                self.panic.get_or_insert(payload);
-            }
-            Err(_) => self.lost = true,
-        }
+    /// Counts one chunk of `docs` documents and `bytes` bytes.
+    pub fn add_chunk(&mut self, docs: usize, bytes: u64) {
+        self.docs += docs as u64;
+        self.bytes += bytes;
+        self.levels += 1;
     }
-}
-
-/// The per-chunk work unit of bulk ingestion: SA-IS-build one routed
-/// batch into a static level *off the shard lock*, then take the lock
-/// only to install it (and republish the view on drop). Runs on the
-/// shard's resident worker under [`MaintenancePolicy::Periodic`], or
-/// inline on the ingesting thread under [`MaintenancePolicy::Manual`].
-fn build_install_chunk<I: StaticIndex + Sync>(
-    slot: &ShardSlot<I>,
-    shard: usize,
-    builder: &LevelBuilder<I>,
-    batch: &[(u64, Vec<u8>)],
-    telemetry: Option<&StoreTelemetry>,
-) -> Result<(), ShardPoisoned> {
-    let build_start = Instant::now();
-    let level = builder.build_batch(batch);
-    let build_nanos = build_start.elapsed().as_nanos() as u64;
-    let install_start = Instant::now();
-    let mut guard = slot.write()?;
-    guard.install_bulk_level(level);
-    drop(guard); // republish the view before stopping the clock
-    if let Some(t) = telemetry {
-        t.ingest_build.record_at(shard, build_nanos);
-        t.ingest_install
-            .record_at(shard, install_start.elapsed().as_nanos() as u64);
-        t.docs_ingested.add(batch.len() as u64);
-    }
-    Ok(())
 }
 
 impl<I: StaticIndex + Sync> ShardedStore<I> {
@@ -349,6 +280,11 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
     ) -> Self {
         assert!(!indexes.is_empty(), "store needs at least one shard");
         let telemetry = StoreTelemetry::from_policy(telemetry, indexes.len());
+        let writes = Arc::new(WritePath {
+            builder: indexes[0].level_builder(),
+            telemetry: telemetry.clone(),
+            ingested_docs: AtomicU64::new(0),
+        });
         if let Some(t) = &telemetry {
             t.flight
                 .set_slow_threshold(health_options.slow_op_threshold);
@@ -389,7 +325,7 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
             telemetry,
             health,
             admin,
-            ingested_docs: AtomicU64::new(0),
+            writes,
         }
     }
 
@@ -460,7 +396,7 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
 
     /// The shard `doc_id` routes to (stable for the store's lifetime).
     pub fn shard_of(&self, doc_id: u64) -> usize {
-        (route_hash(doc_id) % self.shards.len() as u64) as usize
+        shard_for(doc_id, self.shards.len())
     }
 
     /// Jobs currently waiting in `shard`'s worker queue (ingest chunk
@@ -508,10 +444,6 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
     /// ```
     pub fn shard_view(&self, shard: usize) -> Arc<ShardView<I>> {
         self.shards[shard].view()
-    }
-
-    fn write_shard(&self, s: usize) -> Result<ShardGuard<'_, I>, ShardPoisoned> {
-        self.shards[s].write()
     }
 
     /// The only read path, shared by [`ShardedStore::count`],
@@ -576,497 +508,6 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
             ..Span::root(root, kind)
         });
         out
-    }
-
-    // ------------------------------------------------------------------
-    // Updates
-    // ------------------------------------------------------------------
-
-    /// Inserts a document into its shard (direct write-lock path — the
-    /// worker pool is not involved). On success the shard's
-    /// view is republished, so the document is immediately visible to
-    /// readers.
-    ///
-    /// # Errors
-    /// Returns [`ShardPoisoned`] if a previous writer panicked in this
-    /// document's shard — reads there keep serving the last published
-    /// view, and every other shard still accepts writes.
-    ///
-    /// # Panics
-    /// Panics if `doc_id` is already present (same contract as
-    /// [`Transform2Index::insert`]).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use dyndex_core::FmConfig;
-    /// use dyndex_store::{ShardedStore, StoreOptions};
-    /// use dyndex_text::FmIndexCompressed;
-    ///
-    /// let store: ShardedStore<FmIndexCompressed> =
-    ///     ShardedStore::new(FmConfig { sample_rate: 8 }, StoreOptions::default());
-    /// store.insert(7, b"a single document").unwrap();
-    /// assert!(store.contains(7));
-    /// assert_eq!(store.delete(7).unwrap(), Some(b"a single document".to_vec()));
-    /// assert_eq!(store.delete(7).unwrap(), None);
-    /// ```
-    pub fn insert(&self, doc_id: u64, bytes: &[u8]) -> Result<(), ShardPoisoned> {
-        let shard = self.shard_of(doc_id);
-        let Some(t) = self.telemetry.clone() else {
-            self.write_shard(shard)?.insert(doc_id, bytes);
-            return Ok(());
-        };
-        let start = Instant::now();
-        match self.write_shard(shard) {
-            Ok(mut guard) => {
-                guard.insert(doc_id, bytes);
-                drop(guard); // republish before stopping the clock
-                t.insert_duration
-                    .record_at(shard, start.elapsed().as_nanos() as u64);
-                t.docs_inserted.inc();
-                Ok(())
-            }
-            Err(poisoned) => {
-                t.shard_poisoned.inc();
-                Err(poisoned)
-            }
-        }
-    }
-
-    /// Deletes a document, returning its bytes (`Ok(None)` if absent).
-    /// See [`ShardedStore::insert`] for an example and the
-    /// [`ShardPoisoned`] error contract.
-    pub fn delete(&self, doc_id: u64) -> Result<Option<Vec<u8>>, ShardPoisoned> {
-        let shard = self.shard_of(doc_id);
-        let Some(t) = self.telemetry.clone() else {
-            return Ok(self.write_shard(shard)?.delete(doc_id));
-        };
-        let start = Instant::now();
-        match self.write_shard(shard) {
-            Ok(mut guard) => {
-                let removed = guard.delete(doc_id);
-                drop(guard);
-                t.delete_duration
-                    .record_at(shard, start.elapsed().as_nanos() as u64);
-                if removed.is_some() {
-                    t.docs_deleted.inc();
-                }
-                Ok(removed)
-            }
-            Err(poisoned) => {
-                t.shard_poisoned.inc();
-                Err(poisoned)
-            }
-        }
-    }
-
-    /// Inserts a batch, grouped by shard and applied under one lock
-    /// acquisition (and one view publish) per shard — a lone group on
-    /// the calling thread, several in parallel on scoped threads.
-    ///
-    /// # Errors
-    /// Returns the first (lowest-shard) [`ShardPoisoned`] if any target
-    /// shard's previous writer panicked; groups routed to healthy shards
-    /// are still applied.
-    ///
-    /// # Panics
-    /// Panics if any document id is already present.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use dyndex_core::FmConfig;
-    /// use dyndex_store::{ShardedStore, StoreOptions};
-    /// use dyndex_text::FmIndexCompressed;
-    ///
-    /// let store: ShardedStore<FmIndexCompressed> =
-    ///     ShardedStore::new(FmConfig { sample_rate: 8 }, StoreOptions::default());
-    /// store.insert_batch(&[(1, b"alpha".to_vec()), (2, b"beta".to_vec())]).unwrap();
-    /// assert_eq!(store.num_docs(), 2);
-    /// assert_eq!(store.delete_batch(&[1, 2, 3]).unwrap(), 2); // 3 was never present
-    /// ```
-    pub fn insert_batch(&self, docs: &[(u64, Vec<u8>)]) -> Result<(), ShardPoisoned> {
-        let started = self.telemetry.as_ref().map(|_| Instant::now());
-        let result = self.insert_batch_inner(docs);
-        if let (Some(t), Some(started)) = (&self.telemetry, started) {
-            t.insert_duration
-                .record(started.elapsed().as_nanos() as u64);
-            match &result {
-                Ok(()) => t.docs_inserted.add(docs.len() as u64),
-                Err(_) => t.shard_poisoned.inc(),
-            }
-        }
-        result
-    }
-
-    fn insert_batch_inner(&self, docs: &[(u64, Vec<u8>)]) -> Result<(), ShardPoisoned> {
-        let mut groups: Vec<Vec<(u64, &[u8])>> = vec![Vec::new(); self.shards.len()];
-        for (id, bytes) in docs {
-            groups[self.shard_of(*id)].push((*id, bytes.as_slice()));
-        }
-        self.apply_groups(groups, |index, group| {
-            for (id, bytes) in group {
-                index.insert(id, bytes);
-            }
-            0
-        })
-        .map(|_| ())
-    }
-
-    /// Deletes a batch (grouped like [`ShardedStore::insert_batch`], see
-    /// there for an example); returns how many of the ids were present
-    /// and removed. On [`ShardPoisoned`], deletions routed to healthy
-    /// shards are still applied (their count is not reported).
-    pub fn delete_batch(&self, ids: &[u64]) -> Result<usize, ShardPoisoned> {
-        let started = self.telemetry.as_ref().map(|_| Instant::now());
-        let result = self.delete_batch_inner(ids);
-        if let (Some(t), Some(started)) = (&self.telemetry, started) {
-            t.delete_duration
-                .record(started.elapsed().as_nanos() as u64);
-            match &result {
-                Ok(removed) => t.docs_deleted.add(*removed as u64),
-                Err(_) => t.shard_poisoned.inc(),
-            }
-        }
-        result
-    }
-
-    fn delete_batch_inner(&self, ids: &[u64]) -> Result<usize, ShardPoisoned> {
-        let mut groups: Vec<Vec<u64>> = vec![Vec::new(); self.shards.len()];
-        for &id in ids {
-            groups[self.shard_of(id)].push(id);
-        }
-        self.apply_groups(groups, |index, group| {
-            group
-                .into_iter()
-                .filter(|&id| index.delete(id).is_some())
-                .count()
-        })
-    }
-
-    /// Applies each non-empty per-shard group (`groups[s]` routes to
-    /// shard `s`) under one write guard, so one group is one lock
-    /// acquisition and one view publish, and sums `apply`'s results. A
-    /// lone group runs on the caller; several run on scoped threads, and
-    /// every group is applied before a panic resumes on the caller or the
-    /// lowest-shard [`ShardPoisoned`] is returned.
-    fn apply_groups<T: Send>(
-        &self,
-        groups: Vec<Vec<T>>,
-        apply: impl Fn(&mut Transform2Index<I>, Vec<T>) -> usize + Sync,
-    ) -> Result<usize, ShardPoisoned> {
-        let run = |slot: &ShardSlot<I>, group: Vec<T>| {
-            slot.write().map(|mut index| apply(&mut index, group))
-        };
-        let mut groups: Vec<_> = self
-            .shards
-            .iter()
-            .zip(groups)
-            .filter(|(_, group)| !group.is_empty())
-            .collect();
-        if groups.len() <= 1 {
-            return groups.pop().map_or(Ok(0), |(slot, group)| run(slot, group));
-        }
-        let results: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .map(|(slot, group)| scope.spawn(move || run(slot, group)))
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-        let mut total = Ok(0);
-        for result in results {
-            // A duplicate insert keeps its panic contract.
-            let applied = result.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            total = total.and_then(|sum| applied.map(|n| sum + n));
-        }
-        total
-    }
-
-    // ------------------------------------------------------------------
-    // Bulk ingestion
-    // ------------------------------------------------------------------
-
-    /// Bulk-loads a document stream through the static-construction fast
-    /// path: documents are hash-routed to their shards, cut into
-    /// chunk-sized batches, SA-IS-built directly into static bulk levels
-    /// ([`LevelBuilder`]) and installed through each shard's normal
-    /// view-publish path. Compared to [`ShardedStore::insert_batch`]
-    /// this skips the `C0` buffer and every logarithmic-method merge a
-    /// document would otherwise pay on its way down the level cascade —
-    /// the `fig9_ingest` bench measures the speedup.
-    ///
-    /// With a worker pool ([`MaintenancePolicy::Periodic`]) chunk builds
-    /// run on the shards' resident workers, so different shards build in
-    /// parallel while the caller keeps routing; under
-    /// [`MaintenancePolicy::Manual`] builds run inline on the calling
-    /// thread. Either way queries keep answering from the published
-    /// views throughout — each installed chunk becomes visible
-    /// atomically when its shard's view republishes.
-    ///
-    /// Memory stays bounded: at most one chunk of raw documents is
-    /// buffered per shard while routing, plus up to two dispatched
-    /// chunks in flight per shard.
-    ///
-    /// # Errors
-    /// Returns the first [`ShardPoisoned`] encountered; chunks routed to
-    /// healthy shards are still installed (same contract as
-    /// [`ShardedStore::insert_batch`]).
-    ///
-    /// # Panics
-    /// Panics if a document id is already present in the store or
-    /// duplicated within the stream (same contract as
-    /// [`ShardedStore::insert`]; the panic surfaces after in-flight
-    /// chunk builds drain).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use dyndex_core::FmConfig;
-    /// use dyndex_store::{ShardedStore, StoreOptions};
-    /// use dyndex_text::FmIndexCompressed;
-    ///
-    /// let store: ShardedStore<FmIndexCompressed> =
-    ///     ShardedStore::new(FmConfig { sample_rate: 8 }, StoreOptions::default());
-    /// let corpus = (0..100u64).map(|id| (id, format!("bulk doc {id}").into_bytes()));
-    /// let stats = store.ingest(corpus).unwrap();
-    /// assert_eq!(stats.docs, 100);
-    /// assert_eq!(store.num_docs(), 100);
-    /// assert_eq!(store.count(b"doc 99"), 1);
-    /// assert_eq!(store.stats().ingested_docs, 100);
-    /// ```
-    pub fn ingest<D>(&self, docs: D) -> Result<IngestStats, ShardPoisoned>
-    where
-        D: IntoIterator<Item = (u64, Vec<u8>)>,
-    {
-        self.ingest_with_chunk_symbols(docs, dyndex_core::bulk::DEFAULT_CHUNK_SYMBOLS)
-    }
-
-    /// [`ShardedStore::ingest`] with an explicit chunk bound (bytes of
-    /// routed documents per built level, per shard). Smaller chunks
-    /// lower peak memory and parallelize more finely; larger chunks
-    /// amortize construction better. Values below 1 are clamped to 1.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use dyndex_core::FmConfig;
-    /// use dyndex_store::{ShardedStore, StoreOptions};
-    /// use dyndex_text::FmIndexCompressed;
-    ///
-    /// let store: ShardedStore<FmIndexCompressed> =
-    ///     ShardedStore::new(FmConfig { sample_rate: 8 }, StoreOptions::default());
-    /// let corpus = (0..64u64).map(|id| (id, format!("chunked doc {id}").into_bytes()));
-    /// let stats = store.ingest_with_chunk_symbols(corpus, 256).unwrap();
-    /// assert!(stats.levels > 1, "a 256-byte chunk bound splits 64 docs");
-    /// assert_eq!(store.count(b"chunked"), 64);
-    /// ```
-    pub fn ingest_with_chunk_symbols<D>(
-        &self,
-        docs: D,
-        chunk_symbols: usize,
-    ) -> Result<IngestStats, ShardPoisoned>
-    where
-        D: IntoIterator<Item = (u64, Vec<u8>)>,
-    {
-        let started = Instant::now();
-        let template = self.builder_template()?.with_chunk_symbols(chunk_symbols);
-        let chunk_symbols = template.chunk_symbols(); // clamped
-        let num_shards = self.shards.len();
-        let mut buffers: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new(); num_shards];
-        let mut buffered_bytes: Vec<usize> = vec![0; num_shards];
-        let mut queues: Vec<VecDeque<InFlightChunk>> =
-            (0..num_shards).map(|_| VecDeque::new()).collect();
-        let mut progress = IngestProgress::default();
-        // Time spent *not* routing (blocking on worker replies, or
-        // building inline under Manual) — subtracted from the elapsed
-        // clock so `ingest_route` reports pure routing + chunk-cutting.
-        let mut off_route_nanos = 0u64;
-        for (id, bytes) in docs {
-            let shard = self.shard_of(id);
-            buffered_bytes[shard] += bytes.len();
-            buffers[shard].push((id, bytes));
-            if buffered_bytes[shard] >= chunk_symbols {
-                let batch = std::mem::take(&mut buffers[shard]);
-                let batch_bytes = std::mem::take(&mut buffered_bytes[shard]) as u64;
-                self.dispatch_chunk(
-                    shard,
-                    batch,
-                    batch_bytes,
-                    &template,
-                    &mut queues[shard],
-                    &mut progress,
-                    &mut off_route_nanos,
-                );
-            }
-        }
-        // Final partial chunk per shard.
-        for shard in 0..num_shards {
-            if !buffers[shard].is_empty() {
-                let batch = std::mem::take(&mut buffers[shard]);
-                let batch_bytes = std::mem::take(&mut buffered_bytes[shard]) as u64;
-                self.dispatch_chunk(
-                    shard,
-                    batch,
-                    batch_bytes,
-                    &template,
-                    &mut queues[shard],
-                    &mut progress,
-                    &mut off_route_nanos,
-                );
-            }
-        }
-        // Drain every in-flight build before reporting or propagating
-        // anything, so no worker reply is orphaned.
-        for queue in queues.iter_mut() {
-            while let Some(chunk) = queue.pop_front() {
-                let wait = Instant::now();
-                progress.absorb(chunk);
-                off_route_nanos += wait.elapsed().as_nanos() as u64;
-            }
-        }
-        let elapsed = started.elapsed();
-        self.ingested_docs
-            .fetch_add(progress.docs, Ordering::Relaxed);
-        let stats = IngestStats {
-            docs: progress.docs,
-            bytes: progress.bytes,
-            levels: progress.levels,
-            elapsed,
-        };
-        if let Some(t) = &self.telemetry {
-            let route = (elapsed.as_nanos() as u64).saturating_sub(off_route_nanos);
-            t.ingest_route.record(route);
-            t.ingest_docs_per_sec.set(stats.docs_per_sec() as u64);
-            if progress.poisoned.is_some() {
-                t.shard_poisoned.inc();
-            }
-        }
-        if let Some(payload) = progress.panic {
-            std::panic::resume_unwind(payload);
-        }
-        assert!(
-            !progress.lost,
-            "shard worker exited without answering a bulk build"
-        );
-        match progress.poisoned {
-            Some(poisoned) => Err(poisoned),
-            None => Ok(stats),
-        }
-    }
-
-    /// Sends one routed batch to its shard: onto the resident worker
-    /// (bounding in-flight chunks per shard, blocking on the oldest
-    /// reply when full), or built inline when no pool exists.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_chunk(
-        &self,
-        shard: usize,
-        batch: Vec<(u64, Vec<u8>)>,
-        batch_bytes: u64,
-        template: &LevelBuilder<I>,
-        queue: &mut VecDeque<InFlightChunk>,
-        progress: &mut IngestProgress,
-        off_route_nanos: &mut u64,
-    ) {
-        let docs = batch.len() as u64;
-        match &self.pool {
-            Some(pool) => {
-                if queue.len() >= MAX_INGEST_IN_FLIGHT {
-                    let oldest = queue.pop_front().expect("len checked above");
-                    let wait = Instant::now();
-                    progress.absorb(oldest);
-                    *off_route_nanos += wait.elapsed().as_nanos() as u64;
-                }
-                let builder = template.clone();
-                let telemetry = self.telemetry.clone();
-                let (reply, rx) = mpsc::channel();
-                pool.submit(
-                    shard,
-                    Box::new(move |slot: &ShardSlot<I>| {
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            build_install_chunk(slot, shard, &builder, &batch, telemetry.as_deref())
-                        }));
-                        let _ = reply.send(result);
-                    }),
-                );
-                queue.push_back(InFlightChunk {
-                    rx,
-                    docs,
-                    bytes: batch_bytes,
-                });
-            }
-            None => {
-                let inline = Instant::now();
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    build_install_chunk(
-                        &self.shards[shard],
-                        shard,
-                        template,
-                        &batch,
-                        self.telemetry.as_deref(),
-                    )
-                }));
-                match result {
-                    Ok(Ok(())) => {
-                        progress.docs += docs;
-                        progress.bytes += batch_bytes;
-                        progress.levels += 1;
-                    }
-                    Ok(Err(poisoned)) => {
-                        progress.poisoned.get_or_insert(poisoned);
-                    }
-                    Err(payload) => {
-                        progress.panic.get_or_insert(payload);
-                    }
-                }
-                *off_route_nanos += inline.elapsed().as_nanos() as u64;
-            }
-        }
-    }
-
-    /// A [`LevelBuilder`] copying the first healthy shard's index
-    /// configuration (every shard is constructed identically, so any one
-    /// serves as the template).
-    fn builder_template(&self) -> Result<LevelBuilder<I>, ShardPoisoned> {
-        let mut first_err = None;
-        for slot in self.shards.iter() {
-            match slot.write() {
-                Ok(guard) => return Ok(guard.level_builder()),
-                Err(poisoned) => {
-                    first_err.get_or_insert(poisoned);
-                }
-            }
-        }
-        Err(first_err.expect("store has at least one shard"))
-    }
-
-    /// Builds `docs` into one bulk level on the given shard,
-    /// synchronously on the calling thread (the persistence layer's
-    /// hook: `DurableStore::ingest` calls this after logging the chunk's
-    /// WAL record, and WAL replay calls it to re-apply logged chunks).
-    /// The caller is responsible for routing — every id must hash to
-    /// `shard`.
-    #[doc(hidden)]
-    pub fn bulk_load_shard(
-        &self,
-        shard: usize,
-        docs: &[(u64, Vec<u8>)],
-    ) -> Result<(), ShardPoisoned> {
-        if docs.is_empty() {
-            return Ok(());
-        }
-        let builder = self.shards[shard].write()?.level_builder();
-        build_install_chunk(
-            &self.shards[shard],
-            shard,
-            &builder,
-            docs,
-            self.telemetry.as_deref(),
-        )?;
-        self.ingested_docs
-            .fetch_add(docs.len() as u64, Ordering::Relaxed);
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1283,11 +724,11 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
             .expect("finish_background_work leaves the shard quiesced")
     }
 
-    /// Enqueues `f` on `shard`'s resident worker, behind whatever that
-    /// worker already has queued (the persistence layer runs snapshot
-    /// serialization here). Returns `false` — without running `f` — when
-    /// no pool exists ([`MaintenancePolicy::Manual`]); the caller then
-    /// runs the work inline.
+    /// Runs `f` as a job for `shard` (bulk-ingest chunks, snapshot
+    /// serialization): queued on the shard's resident worker behind
+    /// whatever it already has queued, or run on the caller when no pool
+    /// exists ([`MaintenancePolicy::Manual`]). Returns whether `f` was
+    /// queued (`false`: it already ran).
     #[doc(hidden)]
     pub fn submit_background_job(&self, shard: usize, f: Box<dyn FnOnce() + Send>) -> bool {
         match &self.pool {
@@ -1295,7 +736,10 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
                 pool.submit(shard, Box::new(move |_slot| f()));
                 true
             }
-            None => false,
+            None => {
+                f();
+                false
+            }
         }
     }
 
@@ -1453,7 +897,7 @@ impl<I: StaticIndex + Sync> ShardedStore<I> {
             snapshot_in_progress: self.snapshot_in_progress(),
             query_p99,
             wal_fsync_p99: None,
-            ingested_docs: self.ingested_docs.load(Ordering::Relaxed),
+            ingested_docs: self.writes.ingested_docs.load(Ordering::Relaxed),
             ingest_docs_per_sec,
         }
     }

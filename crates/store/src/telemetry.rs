@@ -64,8 +64,8 @@ pub(crate) struct StoreTelemetry {
     pub query_duration: Arc<Histogram>,
     /// Queries served (all kinds).
     pub queries: Arc<Counter>,
-    /// Insert latency: one observation per `insert` call and per
-    /// `insert_batch` call (whole batch).
+    /// Insert latency: one observation per shard group an insert or
+    /// batch applies (lock wait, apply and view publish).
     pub insert_duration: Arc<Histogram>,
     /// Delete latency, same shape as inserts.
     pub delete_duration: Arc<Histogram>,
